@@ -6,14 +6,13 @@
 //! inside the I/O phases. This binary generates the same three configurations
 //! and prints their ground truth plus a coarse bandwidth profile.
 
+use ftio_core::sample_trace;
 use ftio_synth::ior::PhaseLibrary;
 use ftio_synth::semi::{generate, SemiSyntheticConfig};
 use ftio_synth::NoiseLevel;
-use ftio_trace::BandwidthTimeline;
 
 fn describe(name: &str, config: &SemiSyntheticConfig, library: &PhaseLibrary, seed: u64) {
     let result = generate(config, library, seed);
-    let timeline = BandwidthTimeline::from_trace(&result.trace);
     println!("--- {name} ---");
     println!(
         "iterations: {}   requests: {}   duration: {:.1} s",
@@ -28,8 +27,8 @@ fn describe(name: &str, config: &SemiSyntheticConfig, library: &PhaseLibrary, se
         result.io_time_ratio()
     );
     // Coarse bandwidth profile (1 sample per 10 s) as the series behind the plot.
-    let samples = timeline.sample(timeline.start(), timeline.end(), 0.1);
-    let profile: String = samples
+    let profile: String = sample_trace(&result.trace, 0.1)
+        .samples
         .iter()
         .map(|&bw| {
             if bw > 5.0e9 {

@@ -1,12 +1,11 @@
 //! Sharded multi-application prediction engine.
 //!
 //! The paper's online mode (§II-D) runs one FTIO evaluation per application
-//! whenever that application appends new I/O data. A single
-//! [`PredictionEngine`](crate::online::PredictionEngine) worker serves one
-//! application; monitoring a whole cluster means serving *hundreds* of them
-//! concurrently, and with PR 2's allocation-free spectral path the per-tick
-//! analysis is cheap enough that dispatch — not the FFT — becomes the scaling
-//! bottleneck. [`ClusterEngine`] addresses that with the standard
+//! whenever that application appends new I/O data. Monitoring a whole
+//! cluster means serving *hundreds* of applications concurrently, and with
+//! PR 2's allocation-free spectral path the per-tick analysis is cheap enough
+//! that dispatch — not the FFT — becomes the scaling bottleneck.
+//! [`ClusterEngine`] addresses that with the standard
 //! classification-at-line-rate recipe:
 //!
 //! * **Sharding** — applications are hashed ([`AppId::shard_index`]) onto a
@@ -26,9 +25,8 @@
 //!   predict once at the latest timestamp), so a burst of appends costs one
 //!   FFT instead of many.
 //!
-//! [`PredictionEngine`](crate::online::PredictionEngine) is the 1-shard,
-//! no-coalescing special case of this engine and keeps its historical
-//! one-prediction-per-submission behaviour.
+//! One shard with `max_batch = 1` is the single-application case of the
+//! paper's Fig. 5: one worker, one prediction per submission.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,8 +105,7 @@ pub struct ClusterConfig {
     pub queue_capacity: usize,
     /// Maximum number of queued submissions of one application coalesced into
     /// a single detection tick. `1` disables coalescing: every submission gets
-    /// its own prediction, as [`PredictionEngine`](crate::online::PredictionEngine)
-    /// promises.
+    /// its own prediction.
     pub max_batch: usize,
     /// Policy applied when a shard queue is full.
     pub policy: BackpressurePolicy,
@@ -1750,6 +1747,40 @@ mod tests {
         engine.flush();
         assert_eq!(engine.predictions(app).len(), 2);
         assert_accounting(&engine.stats());
+    }
+
+    /// Shutdown must be deterministic: dropping the engine drains every
+    /// accepted submission before the worker is joined, so the final
+    /// prediction of a burst of appends is never silently lost. (A
+    /// channel-based engine that enqueues a `Shutdown` sentinel from `Drop`
+    /// loses a racing append made after the sentinel.)
+    #[test]
+    fn dropping_the_engine_drains_in_flight_predictions() {
+        for round in 0..8usize {
+            let engine = ClusterEngine::spawn(engine_config(1, 64, BackpressurePolicy::Block));
+            // Keep the result store alive past the engine to observe what the
+            // worker wrote during the drop-triggered drain.
+            let results = engine.results_handle();
+            let submissions = 3 + round % 4;
+            for i in 0..submissions {
+                let start = i as f64 * 9.0;
+                engine.submit(
+                    AppId::new(0),
+                    burst(4, start, 1.5, 1_200_000_000),
+                    start + 1.5,
+                );
+            }
+            // Drop immediately: the worker may not have started any of the
+            // submissions yet — all of them are "in flight".
+            drop(engine);
+            let drained: usize = lock_recover(&results).values().map(Vec::len).sum();
+            assert_eq!(
+                drained,
+                submissions,
+                "round {round}: drop lost {} in-flight predictions",
+                submissions - drained
+            );
+        }
     }
 
     /// Tentpole acceptance: snapshot mid-run → restore → continue matches an

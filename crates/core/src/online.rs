@@ -13,16 +13,15 @@
 //!    (see [`crate::freq_merge`]).
 //!
 //! [`OnlinePredictor`] is the synchronous core used by the benchmarks;
-//! [`PredictionEngine`] wraps it in a worker thread fed through a channel,
-//! mirroring the paper's "new child process every time new I/O measurements
-//! are appended" deployment.
+//! [`ClusterEngine`](crate::cluster::ClusterEngine) runs it on worker threads
+//! fed through queues, mirroring the paper's "new child process every time
+//! new I/O measurements are appended" deployment.
 
 use ftio_trace::msgpack::{self, write_array_header, write_f64, write_str, write_uint, Reader};
 use ftio_trace::source::TraceSource;
-use ftio_trace::{snapshot, AppId, AppTrace, IoRequest, TraceResult};
+use ftio_trace::{snapshot, AppTrace, IoRequest, TraceResult};
 
 use crate::checkpoint;
-use crate::cluster::{BackpressurePolicy, ClusterConfig, ClusterEngine};
 use crate::config::FtioConfig;
 use crate::detection::{detect_signal, DetectionResult};
 use crate::freq_merge::{merge_predictions, FrequencyInterval, FrequencyPrediction};
@@ -435,62 +434,6 @@ impl OnlinePredictor {
     }
 }
 
-/// Asynchronous wrapper around [`OnlinePredictor`] for a *single* application:
-/// a worker thread receives flushed data through a queue, runs the prediction,
-/// and appends the result to a shared store — the Rust equivalent of the
-/// paper's per-evaluation child process with shared memory between processes.
-///
-/// Since the sharded [`ClusterEngine`] landed, this type is simply its
-/// 1-shard special case with coalescing disabled (`max_batch = 1`, so every
-/// submission yields exactly one prediction) and an effectively unbounded
-/// queue under the lossless [`BackpressurePolicy::Block`].
-/// Shutdown is deterministic: dropping or finishing the engine closes the
-/// queue, *drains* every submission accepted so far, and only then joins the
-/// worker — a racing submit can be refused, but never silently lost.
-pub struct PredictionEngine {
-    cluster: ClusterEngine,
-    app: AppId,
-}
-
-impl PredictionEngine {
-    /// Spawns the engine with the given configuration and window strategy.
-    pub fn spawn(config: FtioConfig, strategy: WindowStrategy) -> Self {
-        let cluster = ClusterEngine::spawn(ClusterConfig {
-            shards: 1,
-            queue_capacity: usize::MAX,
-            max_batch: 1,
-            policy: BackpressurePolicy::Block,
-            ftio: config,
-            strategy,
-            memory: MemoryPolicy::default(),
-            threads: 0,
-            resume_ring: crate::cluster::DEFAULT_RESUME_RING,
-        });
-        PredictionEngine {
-            cluster,
-            app: AppId::from_name("online"),
-        }
-    }
-
-    /// Submits newly flushed requests and asks for a prediction at time `now`.
-    /// Returns immediately; the result appears in [`PredictionEngine::predictions`].
-    pub fn submit(&self, requests: Vec<IoRequest>, now: f64) {
-        let _ = self.cluster.submit(self.app, requests, now);
-    }
-
-    /// Snapshot of all predictions computed so far, in submission order.
-    pub fn predictions(&self) -> Vec<OnlinePrediction> {
-        self.cluster.predictions(self.app)
-    }
-
-    /// Stops the worker — draining everything submitted so far — and returns
-    /// all predictions.
-    pub fn finish(self) -> Vec<OnlinePrediction> {
-        let app = self.app;
-        self.cluster.finish().remove(&app).unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -812,77 +755,6 @@ mod tests {
             assert_eq!(delta.requests, 4, "one 4-rank burst per tick");
             // A 2 s burst at fs = 2 Hz overlaps at most 5 bins per request.
             assert!(delta.bins <= 4 * 5, "tick folded too many bins: {delta:?}");
-        }
-    }
-
-    #[test]
-    fn engine_runs_predictions_in_the_background() {
-        let engine = PredictionEngine::spawn(config(), WindowStrategy::FullHistory);
-        let period = 9.0;
-        for i in 0..10 {
-            let start = i as f64 * period;
-            engine.submit(burst(start, 1.5, 1_200_000_000), start + 1.5);
-        }
-        let predictions = engine.finish();
-        assert_eq!(predictions.len(), 10);
-        let last = predictions.last().unwrap();
-        let detected = last.period().expect("dominant frequency");
-        assert!((detected - period).abs() < 1.5, "period {detected}");
-        // Predictions were processed in submission order.
-        for pair in predictions.windows(2) {
-            assert!(pair[1].time > pair[0].time);
-        }
-    }
-
-    #[test]
-    fn engine_predictions_snapshot_is_monotone() {
-        let engine = PredictionEngine::spawn(config(), WindowStrategy::FullHistory);
-        engine.submit(burst(0.0, 1.0, 1_000_000_000), 1.0);
-        engine.submit(burst(10.0, 1.0, 1_000_000_000), 11.0);
-        // Wait for the worker to drain the queue.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            if engine.predictions().len() == 2 || std::time::Instant::now() > deadline {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        assert_eq!(engine.predictions().len(), 2);
-        drop(engine);
-    }
-
-    /// Shutdown must be deterministic: dropping the engine drains every
-    /// accepted submission before the worker is joined, so the final
-    /// prediction of a burst of appends is never silently lost. (The old
-    /// channel-based engine enqueued a `Shutdown` sentinel from `Drop`, and a
-    /// racing append after the sentinel vanished without a trace.)
-    #[test]
-    fn dropping_the_engine_drains_in_flight_predictions() {
-        for round in 0..8usize {
-            let engine = PredictionEngine::spawn(config(), WindowStrategy::FullHistory);
-            // Keep the result store alive past the engine to observe what the
-            // worker wrote during the drop-triggered drain.
-            let results = engine.cluster.results_handle();
-            let submissions = 3 + round % 4;
-            for i in 0..submissions {
-                let start = i as f64 * 9.0;
-                engine.submit(burst(start, 1.5, 1_200_000_000), start + 1.5);
-            }
-            // Drop immediately: the worker may not have started any of the
-            // submissions yet — all of them are "in flight".
-            drop(engine);
-            let drained: usize = results
-                .lock()
-                .expect("results poisoned")
-                .values()
-                .map(Vec::len)
-                .sum();
-            assert_eq!(
-                drained,
-                submissions,
-                "round {round}: drop lost {} in-flight predictions",
-                submissions - drained
-            );
         }
     }
 }

@@ -7,19 +7,21 @@
 //! quantifies that mismatch as the relative volume difference between the
 //! continuous signal and its discretisation.
 //!
-//! Two discretisation paths exist:
-//!
-//! * the **batch** path ([`sample_trace`], [`sample_trace_window`]) builds a
-//!   [`BandwidthTimeline`] from the full request list and integrates it over
-//!   a window — `O(total requests)` every time it runs;
-//! * the **incremental** path ([`IncrementalSampler`]) keeps the discretised
-//!   signal as a growing bin buffer and folds only *newly ingested* requests
-//!   into it — `O(new requests)` per ingest, with window strategies served as
-//!   zero-recomputation [`IncrementalSampler::view`]s over the buffer. This
-//!   is what makes the online prediction tick independent of history length.
+//! One discretiser serves every caller: [`IncrementalSampler`] keeps the
+//! discretised signal as a bin buffer and folds each request into the bins it
+//! overlaps. The online predictor keeps one sampler per application and folds
+//! only *newly ingested* requests — `O(new requests)` per ingest, with window
+//! strategies served as zero-recomputation [`IncrementalSampler::view`]s —
+//! which makes the prediction tick independent of history length. Offline
+//! detection ([`sample_trace`], [`sample_trace_window`]) folds the trace into
+//! a fresh sampler whose grid starts at the window start, so both modes
+//! analyse bins built by the same code.
+//! [`BandwidthTimeline::sample`](ftio_trace::BandwidthTimeline::sample) and
+//! [`BandwidthTimeline::sample_instantaneous`](ftio_trace::BandwidthTimeline::sample_instantaneous)
+//! are the reference definitions the sampler is tested against.
 
 use ftio_trace::msgpack::{write_array_header, write_f64, write_uint, Reader};
-use ftio_trace::{AppTrace, BandwidthTimeline, Heatmap, IoRequest, TraceResult};
+use ftio_trace::{AppTrace, Heatmap, IoRequest, TraceResult};
 
 use crate::checkpoint;
 
@@ -79,53 +81,44 @@ impl SampledSignal {
     }
 }
 
-/// Samples a bandwidth timeline over `[t0, t1)` at `sampling_freq` Hz.
-///
-/// Two discretisations are computed: the volume-preserving averaged one that
-/// the analysis uses, and a point-sampled one; the abstraction error reported
-/// is the relative volume difference of the *point-sampled* signal, which is
-/// what degrades when `fs` is too low for the burst lengths in the trace
-/// (Fig. 6).
-pub fn sample_timeline(
-    timeline: &BandwidthTimeline,
-    t0: f64,
-    t1: f64,
-    sampling_freq: f64,
-) -> SampledSignal {
-    let samples = timeline.sample(t0, t1, sampling_freq);
-    let point_samples = timeline.sample_instantaneous(t0, t1, sampling_freq);
-    let true_volume = timeline.volume_in(t0, t1);
-    let point_volume: f64 = point_samples.iter().map(|bw| bw / sampling_freq).sum();
-    let abstraction_error = if true_volume > 0.0 {
-        (point_volume - true_volume).abs() / true_volume
-    } else {
-        0.0
-    };
-    SampledSignal {
-        samples,
-        sampling_freq,
-        start_time: t0,
-        abstraction_error,
-    }
-}
-
-/// Samples a whole application trace (from its first to its last request).
+/// Samples a whole application trace: [`sample_trace_window`] over its
+/// activity span, from the earliest start to the latest end of the requests
+/// that carry data (an empty signal at 0 s when none does).
 pub fn sample_trace(trace: &AppTrace, sampling_freq: f64) -> SampledSignal {
-    let timeline = BandwidthTimeline::from_trace(trace);
-    let t0 = timeline.start();
-    let t1 = timeline.end();
-    sample_timeline(&timeline, t0, t1, sampling_freq)
+    let requests = trace.requests();
+    let Some(t0) = requests
+        .iter()
+        .filter(|r| IncrementalSampler::carries_data(r))
+        .map(|r| r.start)
+        .reduce(f64::min)
+    else {
+        return sample_trace_window(trace, 0.0, 0.0, sampling_freq);
+    };
+    // Every data-carrying request starts before the span's end, so the
+    // window folds them all, and the sampler tracks that end as it folds.
+    let mut sampler = IncrementalSampler::anchored(sampling_freq, t0);
+    sampler.fold_all(requests);
+    sampler.view(t0, sampler.end_time())
 }
 
-/// Samples a trace restricted to the window `[t0, t1)`.
+/// Samples a trace restricted to the window `[t0, t1)`: the
+/// `N = ⌊(t1 − t0)·fs⌋` complete bins of an [`IncrementalSampler`] whose grid
+/// starts at `t0`. Requests are clipped to the window, and bins without I/O
+/// read as zero.
+///
+/// Each sample is the average bandwidth over its bin, which preserves volume.
+/// The abstraction error compares that volume with the point-sampled one
+/// (the aggregate bandwidth at each bin's left edge) over the same `N` bins;
+/// it grows when `fs` is too low for the burst lengths in the trace (Fig. 6).
 pub fn sample_trace_window(
     trace: &AppTrace,
     t0: f64,
     t1: f64,
     sampling_freq: f64,
 ) -> SampledSignal {
-    let timeline = BandwidthTimeline::from_trace(trace);
-    sample_timeline(&timeline, t0, t1, sampling_freq)
+    let mut sampler = IncrementalSampler::anchored(sampling_freq, t0);
+    sampler.fold_all(trace.requests().iter().filter(|r| r.start < t1));
+    sampler.view(t0, t1)
 }
 
 /// Converts a Darshan-style heatmap into a sampled signal. The sampling
@@ -253,8 +246,10 @@ impl CoarseLevel {
 ///
 /// * Bin `b` covers `[origin + b/fs, origin + (b+1)/fs)`, where `origin` is
 ///   the start time of the first folded request; each bin holds the exact
-///   transferred volume inside it, so `bandwidth = volume · fs` reproduces
-///   the averaged (volume-preserving) discretisation of [`sample_timeline`].
+///   transferred volume inside it, so `bandwidth = volume · fs` is the
+///   averaged (volume-preserving) discretisation that
+///   [`BandwidthTimeline::sample`](ftio_trace::BandwidthTimeline::sample)
+///   defines.
 /// * A parallel plane of instantaneous point samples (aggregate bandwidth at
 ///   each bin's left edge) is maintained the same way, so views can report
 ///   the abstraction error without ever rebuilding a timeline.
@@ -275,6 +270,9 @@ impl CoarseLevel {
 pub struct IncrementalSampler {
     sampling_freq: f64,
     origin: Option<f64>,
+    /// Whether the origin was fixed at construction: data before it is then
+    /// clipped instead of extending the buffer backwards.
+    anchored: bool,
     /// Exact transferred volume (bytes) per retained fine bin.
     volume: Vec<f64>,
     /// Instantaneous aggregate bandwidth at each retained fine bin's left edge.
@@ -301,7 +299,8 @@ pub struct IncrementalSampler {
 
 impl IncrementalSampler {
     /// A spread used for zero-duration requests so their volume is preserved,
-    /// mirroring [`BandwidthTimeline::from_requests`].
+    /// mirroring
+    /// [`BandwidthTimeline::from_requests`](ftio_trace::BandwidthTimeline::from_requests).
     const INSTANT: f64 = 1e-9;
 
     /// Creates an empty sampler.
@@ -327,6 +326,7 @@ impl IncrementalSampler {
         IncrementalSampler {
             sampling_freq,
             origin: None,
+            anchored: false,
             volume: Vec::new(),
             point: Vec::new(),
             end_time: f64::NEG_INFINITY,
@@ -337,6 +337,23 @@ impl IncrementalSampler {
             dropped_volume: 0.0,
             peak_bytes: 0,
         }
+    }
+
+    /// An empty sampler whose grid starts at `t0`: the window samplers of
+    /// [`sample_trace_window`]. Data before `t0` is clipped, not binned.
+    fn anchored(sampling_freq: f64, t0: f64) -> Self {
+        IncrementalSampler {
+            origin: Some(t0),
+            anchored: true,
+            ..Self::new(sampling_freq)
+        }
+    }
+
+    /// Whether a request carries data to bin: invalid and zero-byte requests
+    /// do not, as in [`AppTrace::push`] and
+    /// [`BandwidthTimeline::from_requests`](ftio_trace::BandwidthTimeline::from_requests).
+    fn carries_data(request: &IoRequest) -> bool {
+        request.is_valid() && request.bytes > 0
     }
 
     /// The sampling frequency `fs` in Hz.
@@ -432,9 +449,10 @@ impl IncrementalSampler {
     /// Folds one request into the bin buffer: `O(bins overlapped)`.
     ///
     /// Invalid or zero-byte requests are skipped, mirroring both
-    /// [`AppTrace::push`] and [`BandwidthTimeline::from_requests`].
+    /// [`AppTrace::push`] and
+    /// [`BandwidthTimeline::from_requests`](ftio_trace::BandwidthTimeline::from_requests).
     pub fn fold(&mut self, request: &IoRequest) {
-        if !request.is_valid() || request.bytes == 0 {
+        if !Self::carries_data(request) {
             return;
         }
         let (start, end) = if request.duration() > 0.0 {
@@ -448,7 +466,7 @@ impl IncrementalSampler {
         self.end_time = self.end_time.max(end);
         let fs = self.sampling_freq;
         let dt = 1.0 / fs;
-        if start < origin && self.base == 0 {
+        if start < origin && self.base == 0 && !self.anchored {
             // Earlier data than anything seen so far (merged per-rank trace
             // files are explicitly allowed to interleave timestamps): extend
             // the buffer backwards on the same grid, moving the origin to an
@@ -456,7 +474,8 @@ impl IncrementalSampler {
             // genuinely earlier data arrives. Once retention has evicted
             // logical bin 0 (`base > 0`), history before the retained window
             // is gone for good, so such data is clamped and accounted below —
-            // bounded memory cannot resurrect old epochs.
+            // bounded memory cannot resurrect old epochs. An anchored sampler
+            // clips it at the origin: it lies outside the window.
             let shift = ((origin - start) * fs).ceil() as usize;
             origin -= shift as f64 * dt;
             self.origin = Some(origin);
@@ -632,14 +651,13 @@ impl IncrementalSampler {
 
     /// A [`SampledSignal`] over the window `[t0, t1)`, snapped to whole bins:
     /// the first bin is the one containing `t0` (clamped to the origin), and
-    /// `floor((t1 − t0_snapped) · fs)` *complete* bins are emitted — the same
-    /// grid the batch sampler produces, so a trailing fraction of a bin is
-    /// not part of the window. Bins beyond the folded coverage read as zero
-    /// (time without I/O *is* zero bandwidth).
+    /// `floor((t1 − t0_snapped) · fs)` *complete* bins are emitted, so a
+    /// trailing fraction of a bin is not part of the window. Bins beyond the
+    /// folded coverage read as zero (time without I/O *is* zero bandwidth).
     ///
-    /// The abstraction error is computed over the viewed bins from the
-    /// incrementally maintained point samples, exactly as [`sample_timeline`]
-    /// derives it from the point-sampled signal.
+    /// The abstraction error is the relative difference between the
+    /// point-sampled volume (from the incrementally maintained point samples)
+    /// and the averaged volume over the viewed bins.
     pub fn view(&self, t0: f64, t1: f64) -> SampledSignal {
         let fs = self.sampling_freq;
         let Some(origin) = self.origin else {
@@ -779,6 +797,7 @@ impl IncrementalSampler {
         let mut sampler = IncrementalSampler {
             sampling_freq,
             origin,
+            anchored: false,
             volume,
             point,
             end_time,
@@ -814,7 +833,9 @@ pub fn recommend_sampling_freq(trace: &AppTrace, max_freq: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftio_trace::IoRequest;
+    use ftio_trace::{BandwidthTimeline, IoRequest};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn bursty_trace(period: f64, burst: f64, count: usize, bytes: u64) -> AppTrace {
         let mut trace = AppTrace::named("bursty", 1);
@@ -900,23 +921,120 @@ mod tests {
         SampledSignal::from_samples(vec![1.0], 0.0, 0.0);
     }
 
+    /// A random request list mixing every case the discretiser must handle:
+    /// out of order, overlapping, zero-duration, zero-byte and invalid
+    /// requests, some starting on whole seconds so bin edges hit breakpoints.
+    /// Data-carrying bandwidths stay within a few decades of each other so the
+    /// reference's event sweep cancels to well below the checked tolerance.
+    fn arbitrary_requests(rng: &mut StdRng) -> Vec<IoRequest> {
+        (0..rng.gen_range(0usize..10))
+            .map(|rank| {
+                let mut start = rng.gen_range(0.0f64..20.0);
+                if rng.gen_bool(0.2) {
+                    start = start.floor();
+                }
+                let duration = rng.gen_range(0.05f64..6.0);
+                let bytes = (rng.gen_range(1e4f64..1e6) * duration) as u64;
+                match rng.gen_range(0u32..10) {
+                    0 => IoRequest::write(rank, start, start, rng.gen_range(1u64..5)),
+                    1 => IoRequest::write(rank, start, start + duration, 0),
+                    2 => IoRequest::write(rank, start, start - duration, bytes),
+                    3 => IoRequest::write(rank, -start - 1.0, start, bytes),
+                    _ => IoRequest::write(rank, start, start + duration, bytes),
+                }
+            })
+            .collect()
+    }
+
+    /// The one discretiser against the reference definitions of `x(t)`'s
+    /// samples: the averaged samples of [`BandwidthTimeline::sample`] bin by
+    /// bin, and the abstraction error recomputed from
+    /// [`BandwidthTimeline::sample_instantaneous`] over the same `N` bins.
     #[test]
-    fn incremental_sampler_matches_batch_sampling_on_the_shared_grid() {
-        // Requests starting at t = 0 so the batch grid (anchored at the window
-        // start) and the incremental grid (anchored at the origin) coincide.
-        let trace = bursty_trace(10.0, 2.0, 6, 4000);
-        for fs in [0.5, 1.0, 4.0] {
-            let mut sampler = IncrementalSampler::new(fs);
-            sampler.fold_all(trace.requests());
-            let view = sampler.full_view();
-            let batch = sample_trace(&trace, fs);
-            assert_eq!(view.len(), batch.len(), "fs={fs}");
-            for (b, (x, y)) in view.samples.iter().zip(&batch.samples).enumerate() {
-                assert!((x - y).abs() < 1e-9, "fs={fs} bin {b}: {x} vs {y}");
+    fn window_sampling_matches_the_reference_definitions() {
+        let mut rng = StdRng::seed_from_u64(0x5a3b_11e0);
+        for case in 0..400 {
+            let requests = arbitrary_requests(&mut rng);
+            let timeline = BandwidthTimeline::from_requests(&requests);
+            let trace = AppTrace::from_requests("random", 1, requests);
+            let fs = [0.1, 1.0, 10.0, 1000.0][case % 4];
+            let (lo, hi) = (timeline.start(), timeline.end());
+            // Start before, inside or after the data; on whole seconds too, so
+            // bin edges meet the requests that start on whole seconds.
+            let mut t0 = match case / 4 % 3 {
+                0 => lo - rng.gen_range(0.0f64..5.0),
+                1 => rng.gen_range(lo..hi.max(lo + 1e-3)),
+                _ => hi + rng.gen_range(0.0f64..5.0),
+            };
+            if rng.gen_bool(0.3) {
+                t0 = t0.floor();
             }
-            assert_eq!(view.start_time, batch.start_time);
-            assert!((view.abstraction_error - batch.abstraction_error).abs() < 1e-9);
-            assert!((view.volume() - batch.volume()).abs() < 1e-6);
+            // Whole bins only, or a partial trailing bin too.
+            let bins = rng.gen_range(0usize..(30.0 * fs) as usize + 2) as f64;
+            let t1 = if case % 5 == 0 {
+                t0 + bins / fs
+            } else {
+                t0 + (bins + rng.gen_range(0.0f64..1.0)) / fs
+            };
+            let signal = sample_trace_window(&trace, t0, t1, fs);
+            let averaged = timeline.sample(t0, t1, fs);
+            let point = timeline.sample_instantaneous(t0, t1, fs);
+            assert_eq!(signal.len(), averaged.len(), "case {case}");
+            assert_eq!(signal.start_time, t0, "case {case}");
+            let peak = averaged.iter().fold(0.0f64, |m, &x| m.max(x));
+            for (b, (x, y)) in signal.samples.iter().zip(&averaged).enumerate() {
+                assert!(
+                    (x - y).abs() <= 1e-9 * peak,
+                    "case {case} fs {fs} bin {b}: {x} vs {y} (peak {peak})"
+                );
+            }
+            let true_volume: f64 = averaged.iter().sum::<f64>() / fs;
+            let point_volume: f64 = point.iter().sum::<f64>() / fs;
+            let expected = if true_volume > 0.0 {
+                (point_volume - true_volume).abs() / true_volume
+            } else {
+                0.0
+            };
+            assert!(
+                (signal.abstraction_error - expected).abs() <= 1e-9 * expected.max(1.0),
+                "case {case} fs {fs}: error {} vs {expected}",
+                signal.abstraction_error
+            );
+        }
+    }
+
+    #[test]
+    fn sample_trace_is_the_window_over_the_activity_span() {
+        let mut rng = StdRng::seed_from_u64(0x5a3b_11e1);
+        for case in 0..64 {
+            let trace = AppTrace::from_requests("random", 1, arbitrary_requests(&mut rng));
+            let timeline = BandwidthTimeline::from_trace(&trace);
+            let fs = [0.1, 1.0, 10.0, 1000.0][case % 4];
+            let whole = sample_trace(&trace, fs);
+            let window = sample_trace_window(&trace, timeline.start(), timeline.end(), fs);
+            assert_eq!(whole.start_time.to_bits(), window.start_time.to_bits());
+            assert_eq!(whole.samples.len(), window.samples.len(), "case {case}");
+            for (x, y) in whole.samples.iter().zip(&window.samples) {
+                assert_eq!(x.to_bits(), y.to_bits(), "case {case}");
+            }
+            assert_eq!(
+                whole.abstraction_error.to_bits(),
+                window.abstraction_error.to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn empty_trace_gives_an_empty_signal_at_zero() {
+        let mut trace = AppTrace::named("empty", 1);
+        trace.push(IoRequest::write(0, 3.0, 4.0, 0));
+        for signal in [
+            sample_trace(&AppTrace::named("empty", 1), 10.0),
+            sample_trace(&trace, 10.0),
+        ] {
+            assert!(signal.is_empty());
+            assert_eq!(signal.start_time, 0.0);
+            assert_eq!(signal.abstraction_error, 0.0);
         }
     }
 
@@ -1001,22 +1119,6 @@ mod tests {
         let view = sampler.full_view();
         assert!((view.volume() - (1000.0 + 500.0 + 77.0)).abs() < 1e-9);
         assert_eq!(sampler.requests_folded(), 3);
-        // The whole thing still matches a fresh fold of the same sequence —
-        // and the batch sampler over the same grid.
-        let trace = AppTrace::from_requests(
-            "ooo",
-            1,
-            vec![
-                IoRequest::write(0, 100.0, 101.0, 1000),
-                IoRequest::write(0, 99.0, 101.0, 500),
-                IoRequest::write(0, 50.0, 51.0, 77),
-            ],
-        );
-        let batch = sample_trace_window(&trace, 50.0, 101.0, 1.0);
-        assert_eq!(view.len(), batch.len());
-        for (b, (x, y)) in view.samples.iter().zip(&batch.samples).enumerate() {
-            assert!((x - y).abs() < 1e-9, "bin {b}: {x} vs {y}");
-        }
     }
 
     #[test]

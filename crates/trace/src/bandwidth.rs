@@ -7,9 +7,12 @@
 //!
 //! [`BandwidthTimeline`] is that signal in piecewise-constant form: a sorted
 //! list of breakpoints with the aggregate bandwidth that holds until the next
-//! breakpoint. From it, a discretised sample vector at any sampling frequency
-//! and the exact volume of any interval can be computed, which is what the
-//! DFT step and the σ_vol/σ_time/R_IO metrics need.
+//! breakpoint. It gives the exact volume of any interval, and its
+//! [`sample`](BandwidthTimeline::sample) and
+//! [`sample_instantaneous`](BandwidthTimeline::sample_instantaneous) are the
+//! reference definitions of the averaged and point-sampled discretisations.
+//! The analysis itself discretises with `ftio-core`'s incremental sampler,
+//! which folds requests straight into bins and is tested against these.
 
 use crate::app_trace::AppTrace;
 use crate::request::IoRequest;
@@ -153,8 +156,10 @@ impl BandwidthTimeline {
         self.volume_in(self.start(), self.end() + 1.0)
     }
 
-    /// Samples the signal at `sampling_freq` Hz over `[t0, t1)`, producing the
-    /// discretised sequence `x_n = x(t0 + n / fs)` the DFT consumes.
+    /// Samples the signal at `sampling_freq` Hz over `[t0, t1)`: the reference
+    /// definition of the discretised sequence `x_n = x(t0 + n / fs)` the DFT
+    /// consumes. It costs `O(samples × breakpoints)`; `ftio-core`'s
+    /// incremental sampler builds the same bins from the requests directly.
     ///
     /// Each sample carries the *average* bandwidth over its sampling interval
     /// (volume in the interval divided by the interval length), which is what
@@ -173,11 +178,6 @@ impl BandwidthTimeline {
                 self.volume_in(lo, hi) / dt
             })
             .collect()
-    }
-
-    /// Samples the whole timeline (from its first to its last breakpoint).
-    pub fn sample_all(&self, sampling_freq: f64) -> Vec<f64> {
-        self.sample(self.start(), self.end(), sampling_freq)
     }
 
     /// Instantaneous-value sampling (point sampling, no averaging): the naive

@@ -50,18 +50,21 @@ pub fn decode_request(line: &str, line_number: usize) -> TraceResult<IoRequest> 
             .ok_or_else(|| TraceError::malformed(format!("missing field `{key}`"), line_number))
     };
 
-    let rank = get("rank")?
-        .as_u64()
-        .ok_or_else(|| TraceError::invalid("rank", "not an integer"))?;
+    // Integer fields: a malformed or out-of-range value is an error that
+    // names the line, never a silently rounded or saturated count.
+    let integer = |key: &'static str| -> TraceResult<u64> {
+        get(key)?
+            .as_u64()
+            .map_err(|reason| TraceError::invalid(key, reason).with_context(line_number, line))
+    };
+    let rank = integer("rank")?;
     let start = get("start")?
         .as_f64()
         .ok_or_else(|| TraceError::invalid("start", "not a number"))?;
     let end = get("end")?
         .as_f64()
         .ok_or_else(|| TraceError::invalid("end", "not a number"))?;
-    let bytes = get("bytes")?
-        .as_u64()
-        .ok_or_else(|| TraceError::invalid("bytes", "not an integer"))?;
+    let bytes = integer("bytes")?;
     let kind_str = get("kind")?
         .as_str()
         .ok_or_else(|| TraceError::invalid("kind", "not a string"))?;
@@ -116,7 +119,13 @@ fn fmt_f64(x: f64) -> String {
 /// A scalar JSON value as found in flat trace records.
 #[derive(Clone, Debug, PartialEq)]
 enum JsonValue {
-    Number(f64),
+    /// A number, with its exact value when the token is an integer (no `.`,
+    /// `e` or `E`) that fits `u64`: an `f64` holds integers exactly only up
+    /// to 2^53.
+    Number {
+        value: f64,
+        exact: Option<u64>,
+    },
     String(String),
     Bool(bool),
     Null,
@@ -125,15 +134,26 @@ enum JsonValue {
 impl JsonValue {
     fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Number(x) => Some(*x),
+            JsonValue::Number { value, .. } => Some(*value),
             _ => None,
         }
     }
 
-    fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Number(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
-            _ => None,
+    /// The value as an unsigned integer: integer tokens exactly, integer-valued
+    /// float spellings (`1e3`, `7.0`) through their `f64` value.
+    fn as_u64(&self) -> Result<u64, &'static str> {
+        /// 2^64, the first integer a `u64` cannot hold.
+        const U64_END: f64 = 18_446_744_073_709_551_616.0;
+        match *self {
+            JsonValue::Number { exact: Some(n), .. } => Ok(n),
+            JsonValue::Number { value, .. } if value >= 0.0 && value.fract() == 0.0 => {
+                if value < U64_END {
+                    Ok(value as u64)
+                } else {
+                    Err("out of range for an unsigned 64-bit integer")
+                }
+            }
+            _ => Err("not an integer"),
         }
     }
 
@@ -250,9 +270,18 @@ fn parse_value(
             {
                 num.push(chars.next().unwrap());
             }
-            num.parse::<f64>()
-                .map(JsonValue::Number)
-                .map_err(|_| TraceError::malformed(format!("invalid number `{num}`"), line_number))
+            let exact = if num.contains(['.', 'e', 'E']) {
+                None
+            } else {
+                num.parse::<u64>().ok()
+            };
+            let value = match exact {
+                Some(n) => n as f64,
+                None => num.parse::<f64>().map_err(|_| {
+                    TraceError::malformed(format!("invalid number `{num}`"), line_number)
+                })?,
+            };
+            Ok(JsonValue::Number { value, exact })
         }
         Some(c) => Err(TraceError::malformed(
             format!("unexpected character `{c}`"),
@@ -358,6 +387,49 @@ mod tests {
         for &x in &[0.0, 1.0, 1.5, 123456.789, 0.0001, 781.3] {
             let s = fmt_f64(x);
             assert_eq!(s.parse::<f64>().unwrap(), x, "formatting {x} as {s}");
+        }
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_decode_exactly() {
+        let requests = vec![
+            IoRequest::write(usize::MAX - 1, 1.0, 2.0, (1 << 53) + 1),
+            IoRequest::read(3, 2.0, 3.0, u64::MAX),
+        ];
+        let doc = encode_requests(&requests);
+        assert_eq!(decode_requests(&doc).unwrap(), requests);
+        // The streaming source, two lines per batch.
+        let mut source = crate::source::JsonlSource::new(
+            doc.as_bytes(),
+            crate::app_id::AppId::from_name("big"),
+            2,
+        );
+        assert_eq!(
+            crate::source::drain_requests(&mut source).unwrap(),
+            requests
+        );
+        // Integer-valued float spellings keep their `f64` value.
+        let line = r#"{"rank":2.0,"start":0.0,"end":1.0,"bytes":1e3,"kind":"write"}"#;
+        let r = decode_request(line, 1).unwrap();
+        assert_eq!((r.rank, r.bytes), (2, 1000));
+    }
+
+    #[test]
+    fn out_of_range_integers_are_positioned_errors() {
+        for line in [
+            r#"{"rank":1e30,"start":0.0,"end":1.0,"bytes":5,"kind":"write"}"#,
+            r#"{"rank":18446744073709551616,"start":0.0,"end":1.0,"bytes":5,"kind":"write"}"#,
+            r#"{"rank":0,"start":0.0,"end":1.0,"bytes":1.8446744073709552e19,"kind":"write"}"#,
+        ] {
+            let err = decode_request(line, 4).unwrap_err().to_string();
+            assert!(err.contains("out of range"), "{err}");
+            assert!(err.contains("position 4"), "{err}");
+            let doc = format!(
+                "{}\n{line}\n",
+                encode_request(&IoRequest::write(0, 0.0, 1.0, 1))
+            );
+            let err = decode_requests(&doc).unwrap_err().to_string();
+            assert!(err.contains("position 2"), "{err}");
         }
     }
 

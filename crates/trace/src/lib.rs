@@ -41,8 +41,7 @@
 //!
 //! let timeline = BandwidthTimeline::from_trace(&trace);
 //! assert_eq!(timeline.bandwidth_at(0.75), 2_000_000.0);
-//! let samples = timeline.sample(0.0, 2.0, 10.0);
-//! assert_eq!(samples.len(), 20);
+//! assert_eq!(timeline.volume_in(0.0, 2.0), 2_000_000.0);
 //! ```
 
 pub mod app_id;
