@@ -10,9 +10,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ftio_dsp::correlation::{autocorrelation, autocorrelation_fft};
-use ftio_dsp::fft::{fft_real, Fft, MIN_CONCURRENT_SIZE};
+use ftio_dsp::fft::{fft_real, Fft};
 use ftio_dsp::peaks::{find_peaks, prominence_naive, PeakConfig};
-use ftio_dsp::pool::{install, Pool};
 use ftio_dsp::rfft::rfft;
 use ftio_dsp::spectrum::Spectrum;
 use ftio_dsp::zscore::outlier_indices;
@@ -70,42 +69,15 @@ fn bench_plan_construction(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_concurrent_fft(c: &mut Criterion) {
-    // Lengths at or above the four-step cutoff fan their column/row passes
-    // across the ambient pool; the thread sweep prices that fan-out. The
-    // output is bit-identical across thread counts (same plan, same order).
-    let mut group = c.benchmark_group("fft_concurrent");
+fn bench_large_fft(c: &mut Criterion) {
+    // The longest transforms offline detection runs: the ACF of a signal of
+    // 16,385 samples or more pads to a 65,536-point real FFT.
+    let mut group = c.benchmark_group("fft_large");
     group.sample_size(20);
-    for &n in &[MIN_CONCURRENT_SIZE, 2 * MIN_CONCURRENT_SIZE] {
+    for &n in &[32_768usize, 65_536] {
         let signal = bandwidth_signal(n, 97);
-        for threads in [1usize, 2, 4] {
-            let pool = Pool::new(threads);
-            group.bench_with_input(
-                BenchmarkId::new(format!("n{n}"), threads),
-                &signal,
-                |b, s| {
-                    b.iter(|| install(&pool, || black_box(fft_real(black_box(s)))));
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
-fn bench_pool1_hot_lengths(c: &mut Criterion) {
-    // Regression guard: the hot sub-cutoff lengths the detection pipeline
-    // actually runs must cost the same whether a one-thread pool is installed
-    // or no pool at all — below the cutoff the pool is never consulted.
-    let mut group = c.benchmark_group("fft_pool1_guard");
-    group.sample_size(30);
-    let pool = Pool::new(1);
-    for &n in &[7817usize, 7919, 8192] {
-        let signal = bandwidth_signal(n, 97);
-        group.bench_with_input(BenchmarkId::new("inline", n), &signal, |b, s| {
+        group.bench_with_input(BenchmarkId::from_parameter(n), &signal, |b, s| {
             b.iter(|| black_box(fft_real(black_box(s))));
-        });
-        group.bench_with_input(BenchmarkId::new("pool1", n), &signal, |b, s| {
-            b.iter(|| install(&pool, || black_box(fft_real(black_box(s)))));
         });
     }
     group.finish();
@@ -169,8 +141,7 @@ criterion_group!(
     bench_fft,
     bench_rfft,
     bench_plan_construction,
-    bench_concurrent_fft,
-    bench_pool1_hot_lengths,
+    bench_large_fft,
     bench_spectrum_and_outliers,
     bench_autocorrelation,
     bench_peak_detection

@@ -68,12 +68,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Some(threads) = options.threads {
-        // Size the process-wide pool before the first transform builds it;
-        // large-N FFTs then fan out across exactly this many workers.
-        ftio_core::pool::configure_global(threads);
-    }
-
     let input = match load_trace(&options) {
         Ok(input) => input,
         Err(message) => {

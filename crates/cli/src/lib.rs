@@ -36,9 +36,6 @@ pub struct CliOptions {
     pub window: Option<(f64, f64)>,
     /// Whether to analyse the built-in demo workload.
     pub demo: bool,
-    /// Explicit size for the process-wide DSP pool (the concurrent four-step
-    /// FFT); `None` leaves the `FTIO_THREADS`/core-count default.
-    pub threads: Option<usize>,
 }
 
 /// A successfully loaded input.
@@ -76,8 +73,6 @@ pub fn print_usage_and_exit(tool: &str) -> ! {
          \x20 --tolerance <0..1>                        candidate tolerance (default 0.8)\n\
          \x20 --no-autocorrelation                      skip the ACF refinement\n\
          \x20 --window <t0> <t1>                        restrict the analysis window (seconds)\n\
-         \x20 --threads <n>|auto                        size the FFT worker pool explicitly\n\
-         \x20                                           (default: FTIO_THREADS, then core count)\n\
          \x20 --demo                                    analyse a generated demo trace instead of a file"
     );
     if tool == "ftio" {
@@ -125,18 +120,6 @@ pub fn parse_common_options(args: &[String]) -> Result<CliOptions, String> {
                     .parse()
                     .map_err(|_| format!("invalid tolerance `{value}`"))?;
             }
-            "--threads" => {
-                let value = next_value(args, &mut i, "--threads")?;
-                let trimmed = value.trim();
-                if trimmed.eq_ignore_ascii_case("auto") || trimmed == "0" {
-                    options.threads = None; // keep the FTIO_THREADS/core default
-                } else {
-                    options.threads = Some(
-                        ftio_core::pool::parse_threads(Some(trimmed))
-                            .ok_or(format!("invalid value `{value}` for --threads"))?,
-                    );
-                }
-            }
             "--window" => {
                 let t0: f64 = next_value(args, &mut i, "--window")?
                     .parse()
@@ -166,28 +149,87 @@ pub fn parse_common_options(args: &[String]) -> Result<CliOptions, String> {
     Ok(options)
 }
 
-/// The default engine thread budget of the engine-backed subcommands
-/// (`replay`, `serve`, `cluster`, `eval --engine`): the `FTIO_THREADS`
-/// environment variable when set to a positive count, otherwise `0` — the
-/// legacy one-worker-per-shard cluster layout. An explicit `--threads` flag
-/// overrides the environment; both are clamped to the shard count by the
-/// engine itself.
-pub fn default_threads() -> usize {
-    ftio_core::pool::parse_threads(std::env::var(ftio_core::pool::THREADS_ENV).ok().as_deref())
-        .unwrap_or(0)
-}
+pub use pool::{default_threads, parse_threads_flag};
 
-/// Parses a `--threads` option value: an explicit positive worker count wins,
-/// `auto` and `0` fall back to [`default_threads`] (the `FTIO_THREADS`
-/// environment). Garbage is an error — unlike the environment variable,
-/// which degrades to the automatic budget, a typed flag deserves a diagnosis.
-pub fn parse_threads_flag(value: &str) -> Result<usize, String> {
-    let trimmed = value.trim();
-    if trimmed.eq_ignore_ascii_case("auto") || trimmed == "0" {
-        return Ok(default_threads());
+/// Sizing of the engine's worker pool: the `FTIO_THREADS` environment
+/// variable and the `--threads` flag of the engine-backed subcommands. The
+/// engine's worker threads are the program's only parallelism; every FFT runs
+/// on the worker that needs it.
+mod pool {
+    /// Environment variable naming the default engine worker count.
+    const THREADS_ENV: &str = "FTIO_THREADS";
+
+    /// Upper bound on a worker count — a typo like `FTIO_THREADS=1000000`
+    /// must not try to spawn a million threads.
+    const MAX_THREADS: usize = 256;
+
+    /// Parses a worker-count override: `Some(n)` for a positive count
+    /// (clamped to `MAX_THREADS`), `None` for "auto" (absent, empty, `0`, the
+    /// word `auto`) and for garbage.
+    fn parse_threads(value: Option<&str>) -> Option<usize> {
+        let value = value?.trim();
+        if value.is_empty() || value.eq_ignore_ascii_case("auto") {
+            return None;
+        }
+        match value.parse::<usize>() {
+            Ok(0) | Err(_) => None,
+            Ok(n) => Some(n.min(MAX_THREADS)),
+        }
     }
-    ftio_core::pool::parse_threads(Some(trimmed))
-        .ok_or(format!("invalid value `{value}` for --threads"))
+
+    /// The default engine thread budget of the engine-backed subcommands
+    /// (`replay`, `serve`, `cluster`, `eval --engine`): the `FTIO_THREADS`
+    /// environment variable when set to a positive count, otherwise `0` —
+    /// the legacy one-worker-per-shard cluster layout. A malformed value
+    /// degrades to that default instead of taking the process down. An
+    /// explicit `--threads` flag overrides the environment; both are clamped
+    /// to the shard count by the engine itself.
+    pub fn default_threads() -> usize {
+        parse_threads(std::env::var(THREADS_ENV).ok().as_deref()).unwrap_or(0)
+    }
+
+    /// Parses a `--threads` option value: an explicit positive worker count
+    /// wins, `auto` and `0` fall back to [`default_threads`] (the
+    /// `FTIO_THREADS` environment). Garbage is an error — unlike the
+    /// environment variable, which degrades to the automatic budget, a typed
+    /// flag deserves a diagnosis.
+    pub fn parse_threads_flag(value: &str) -> Result<usize, String> {
+        let trimmed = value.trim();
+        if trimmed.eq_ignore_ascii_case("auto") || trimmed == "0" {
+            return Ok(default_threads());
+        }
+        parse_threads(Some(trimmed)).ok_or(format!("invalid value `{value}` for --threads"))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn parse_threads_accepts_counts_and_degrades_gracefully() {
+            assert_eq!(parse_threads(None), None);
+            assert_eq!(parse_threads(Some("")), None);
+            assert_eq!(parse_threads(Some("auto")), None);
+            assert_eq!(parse_threads(Some("0")), None);
+            assert_eq!(parse_threads(Some("4")), Some(4));
+            assert_eq!(parse_threads(Some(" 8 ")), Some(8));
+            assert_eq!(parse_threads(Some("not-a-number")), None);
+            assert_eq!(parse_threads(Some("-3")), None);
+            // Absurd counts clamp instead of spawning a million threads.
+            assert_eq!(parse_threads(Some("1000000")), Some(MAX_THREADS));
+        }
+
+        #[test]
+        fn threads_flag_passes_counts_clamps_and_defers_auto() {
+            assert_eq!(parse_threads_flag("1"), Ok(1));
+            assert_eq!(parse_threads_flag(" 4 "), Ok(4));
+            assert_eq!(parse_threads_flag("1000000"), Ok(256));
+            assert_eq!(parse_threads_flag("auto"), Ok(default_threads()));
+            assert_eq!(parse_threads_flag("0"), Ok(default_threads()));
+            assert!(parse_threads_flag("not-a-number").is_err());
+            assert!(parse_threads_flag("-3").is_err());
+        }
+    }
 }
 
 pub(crate) fn next_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
@@ -297,6 +339,8 @@ mod tests {
         assert!(parse_common_options(&strings(&["--format", "weird", "t.jsonl"])).is_err());
         assert!(parse_common_options(&strings(&["--window", "5", "1", "t.jsonl"])).is_err());
         assert!(parse_common_options(&strings(&["--unknown", "t.jsonl"])).is_err());
+        // `--threads` sets engine workers; the detection tools have none.
+        assert!(parse_common_options(&strings(&["t.jsonl", "--threads", "2"])).is_err());
         assert!(parse_common_options(&strings(&["a.jsonl", "b.jsonl"])).is_err());
         // Invalid configuration values are caught by validation.
         assert!(parse_common_options(&strings(&["--tolerance", "3.0", "t.jsonl"])).is_err());

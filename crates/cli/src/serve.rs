@@ -57,9 +57,9 @@ pub struct ServeCliOptions {
     /// Backpressure policy.
     pub policy: BackpressurePolicy,
     /// Engine worker threads (0 = one worker per shard). Connection handler
-    /// threads are I/O-bound and do not count against this budget; the
-    /// engine workers themselves run transforms inline (no nested pool), so
-    /// the daemon's CPU-bound parallelism is exactly this knob.
+    /// threads are I/O-bound and do not count against this budget; each
+    /// engine worker runs its transforms itself, so the daemon's CPU-bound
+    /// parallelism is exactly this knob.
     pub threads: usize,
     /// Sampling frequency of the analysis.
     pub freq: f64,
@@ -130,7 +130,7 @@ pub const SERVE_USAGE: &str = "usage: ftio serve --unix <path> | --tcp <host:por
      \x20 --threads <n>|auto          engine worker threads, clamped to the shard\n\
      \x20                             count (default: FTIO_THREADS, else one\n\
      \x20                             worker per shard); this is the daemon's\n\
-     \x20                             whole CPU budget — workers never nest a pool\n\
+     \x20                             whole CPU budget\n\
      \x20 --freq <hz>                 sampling frequency (default 2)\n\
      \x20 --batch-size <n>            requests per decoded batch (default 1024)\n\
      \x20 --read-timeout <ms>         socket read deadline; a client stalled\n\

@@ -601,7 +601,6 @@ impl ClusterEngine {
             handles.push(std::thread::spawn(move || {
                 cluster_worker(
                     worker_index,
-                    workers,
                     owned,
                     &signal,
                     &config,
@@ -1040,7 +1039,6 @@ type OwnedShard = (Arc<ShardQueue>, Arc<Mutex<HashMap<AppId, OnlinePredictor>>>)
 #[allow(clippy::too_many_arguments)]
 fn cluster_worker(
     worker_index: usize,
-    workers: usize,
     owned: Vec<OwnedShard>,
     signal: &WorkerSignal,
     config: &ClusterConfig,
@@ -1049,51 +1047,39 @@ fn cluster_worker(
     plan_stats: &Mutex<Vec<PlanCacheStats>>,
     hub: &Mutex<SubscriptionHub>,
 ) {
-    let body = || {
-        let mut retired = vec![false; owned.len()];
-        let mut live = owned.len();
-        while live > 0 {
-            // Snapshot the wakeup sequence *before* scanning: if a producer
-            // pushes between our scan and the park, the sequence moves and
-            // `wait_past` returns immediately.
-            let seen = signal.current();
-            let mut progressed = false;
-            for (slot, (queue, predictors)) in owned.iter().enumerate() {
-                if retired[slot] {
-                    continue;
-                }
-                match queue.try_pop_all() {
-                    Drained::Batch(batch) => {
-                        progressed = true;
-                        let drained = batch.len();
-                        process_batch(batch, config, predictors, results, counters, hub);
-                        // Export this thread's plan-cache counters *before*
-                        // marking the batch complete, so `flush()` +
-                        // `plan_cache_stats()` observes them.
-                        lock_recover(plan_stats)[worker_index] = plan_cache::stats();
-                        queue.complete(drained);
-                    }
-                    Drained::Empty => {}
-                    Drained::Closed => {
-                        retired[slot] = true;
-                        live -= 1;
-                    }
-                }
+    let mut retired = vec![false; owned.len()];
+    let mut live = owned.len();
+    while live > 0 {
+        // Snapshot the wakeup sequence *before* scanning: if a producer
+        // pushes between our scan and the park, the sequence moves and
+        // `wait_past` returns immediately.
+        let seen = signal.current();
+        let mut progressed = false;
+        for (slot, (queue, predictors)) in owned.iter().enumerate() {
+            if retired[slot] {
+                continue;
             }
-            if live > 0 && !progressed {
-                signal.wait_past(seen);
+            match queue.try_pop_all() {
+                Drained::Batch(batch) => {
+                    progressed = true;
+                    let drained = batch.len();
+                    process_batch(batch, config, predictors, results, counters, hub);
+                    // Export this thread's plan-cache counters *before*
+                    // marking the batch complete, so `flush()` +
+                    // `plan_cache_stats()` observes them.
+                    lock_recover(plan_stats)[worker_index] = plan_cache::stats();
+                    queue.complete(drained);
+                }
+                Drained::Empty => {}
+                Drained::Closed => {
+                    retired[slot] = true;
+                    live -= 1;
+                }
             }
         }
-    };
-    if workers > 1 {
-        // Oversubscription guard: with several cluster workers on the box,
-        // each worker runs its FFTs inline rather than fanning out onto the
-        // shared DSP pool — the workers *are* the parallelism, and letting
-        // every one of them also schedule pool tasks would multiply threads
-        // past the budget.
-        ftio_dsp::pool::install_inline(body);
-    } else {
-        body();
+        if live > 0 && !progressed {
+            signal.wait_past(seen);
+        }
     }
 }
 

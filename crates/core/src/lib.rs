@@ -66,11 +66,6 @@ pub mod sampling;
 pub mod server;
 pub mod spectrum_info;
 
-/// Re-export of the vendored work-stealing pool: the thread-budget plumbing
-/// (`FTIO_THREADS`, `parse_threads`, `configure_global`) that the engine and
-/// the command-line tools share.
-pub use ftio_dsp::pool;
-
 pub use autocorrelation::{analyze_acf, AcfAnalysis};
 pub use characterize::{characterize, io_ratio, Characterization};
 pub use cluster::{

@@ -772,8 +772,8 @@ impl Server {
 
     /// How many engine worker threads the daemon runs. This is the daemon's
     /// entire CPU-bound budget: connection threads only parse and route, and
-    /// workers execute transforms inline rather than nesting a pool, so a
-    /// serve process never oversubscribes past this count.
+    /// each worker runs its own transforms sequentially, so a serve process
+    /// never oversubscribes past this count.
     pub fn worker_count(&self) -> usize {
         self.shared.engine.worker_count()
     }

@@ -1,6 +1,7 @@
 //! Fast Fourier transform implemented from scratch.
 //!
-//! Three execution strategies are selected automatically by [`Fft`]:
+//! Two execution strategies are selected automatically by [`Fft`], from the
+//! prime factors of the length alone:
 //!
 //! * an iterative **mixed-radix Cooley–Tukey** transform for lengths whose
 //!   prime factors are all small (2, 3, 5, 7), with specialised radix-4 and
@@ -8,20 +9,11 @@
 //!   most one radix-2 fixup stage;
 //! * **Bluestein's algorithm** (chirp-z transform) for every other length,
 //!   which reduces an arbitrary-length DFT to a power-of-two convolution with
-//!   chirp and filter tables precomputed in the plan;
-//! * a **four-step (Bailey) decomposition** for composite lengths at or above
-//!   [`MIN_CONCURRENT_SIZE`]: `N = n1·n2`, column FFTs of length `n2`, a
-//!   twiddle scale by `W_N^{j1·k2}`, then row FFTs of length `n1`. The column
-//!   and row transforms are independent, so they run as parallel tasks on the
-//!   ambient [`crate::pool`] thread pool — and because every per-element
-//!   operation is identical no matter how the rows are grouped onto workers,
-//!   the result is **bit-for-bit identical across thread counts** (the
-//!   inline 1-thread pool runs the exact same arithmetic sequentially).
-//!   Lengths below the cutoff keep the sequential kernels untouched, so the
-//!   FTIO hot lengths (a few thousand points) are byte-identical to the
-//!   pre-parallel code path. A Bluestein plan whose power-of-two convolution
-//!   length reaches the cutoff gets a four-step inner plan automatically, so
-//!   large prime lengths parallelise too.
+//!   chirp and filter tables precomputed in the plan.
+//!
+//! Both run sequentially on the calling thread. Parallelism lives one level
+//! up: the online engine analyses many applications at once on its worker
+//! threads (§II-D), each with its own plan cache.
 //!
 //! All transforms are unnormalised in the forward direction and divide by `N`
 //! in the inverse direction, so `ifft(fft(x)) == x`.
@@ -44,18 +36,12 @@
 //! [`crate::rfft::RealFft`], which halves the work by exploiting the conjugate
 //! symmetry of the spectrum.
 
-use std::sync::Arc;
-
 use crate::complex::{Complex, SplitComplex};
 use crate::plan_cache;
-use crate::pool;
 
-/// Transforms of composite length at or above this execute as a four-step
-/// decomposition whose column/row sub-transforms run as parallel tasks on the
-/// ambient [`crate::pool`]. Below it, the sequential mixed-radix/Bluestein
-/// kernels run unchanged — the FTIO hot lengths (≈ 8k points and the 16k
-/// Bluestein convolutions they imply) all sit below the cutoff, where task
-/// overhead would outweigh the win.
+/// No plan reads this constant. It is kept, with its value, only because the
+/// benchmark's FFT census imports it, and it goes with the next change to the
+/// benchmark.
 pub const MIN_CONCURRENT_SIZE: usize = 32_768;
 
 /// Transform direction.
@@ -113,8 +99,6 @@ enum PlanKind {
     Smooth(SmoothPlan),
     /// Bluestein chirp-z transform via a power-of-two convolution.
     Bluestein(BluesteinPlan),
-    /// Four-step `N = n1·n2` decomposition with parallel column/row FFTs.
-    FourStep(FourStepPlan),
 }
 
 /// Precomputed state for the iterative mixed-radix transform.
@@ -158,61 +142,20 @@ struct BluesteinPlan {
     inner: Box<Fft>,
 }
 
-/// Precomputed state for the four-step decomposition `N = n1·n2`.
-///
-/// With input index `n = n1·j2 + j1` and output index `k = n2·k1 + k2`:
-///
-/// ```text
-/// X[n2·k1 + k2] = Σ_{j1} W_{n1}^{j1·k1} · W_N^{j1·k2} · (Σ_{j2} x[n1·j2 + j1] · W_{n2}^{j2·k2})
-/// ```
-///
-/// i.e. `n1` independent column FFTs of length `n2`, an elementwise twiddle
-/// by `W_N^{j1·k2}`, then `n2` independent row FFTs of length `n1`. The
-/// sub-plans are shared via `Arc` so execution can hand them to pool tasks
-/// without copying their tables.
-#[derive(Clone, Debug)]
-struct FourStepPlan {
-    /// Row-transform length (number of columns).
-    n1: usize,
-    /// Column-transform length.
-    n2: usize,
-    /// Length-`n2` plan for the column transforms.
-    col: Arc<Fft>,
-    /// Length-`n1` plan for the row transforms.
-    row: Arc<Fft>,
-    /// Inter-stage twiddles `W_N^{j1·k2}` (forward sign), row-major
-    /// `twiddle[j1·n2 + k2]`, deinterleaved planes.
-    twiddle: Arc<SplitComplex>,
-}
-
 impl Fft {
     /// Creates a plan for transforms of length `len`.
     ///
     /// Prefer [`crate::plan_cache::fft_plan`] on hot paths: it memoises plans
     /// per thread so repeated transforms of the same length reuse all tables.
     pub fn new(len: usize) -> Self {
-        Fft::new_with_cutoff(len, MIN_CONCURRENT_SIZE)
-    }
-
-    /// Creates a plan with an explicit four-step cutoff instead of
-    /// [`MIN_CONCURRENT_SIZE`] — composite lengths at or above `cutoff` use
-    /// the (potentially parallel) four-step decomposition, and the cutoff
-    /// propagates into Bluestein convolution sub-plans.
-    ///
-    /// This exists so tests and benchmarks can exercise the four-step path at
-    /// cheap lengths (low cutoff) or force the sequential kernels at any
-    /// length (`usize::MAX`); production callers should use [`Fft::new`].
-    pub fn new_with_cutoff(len: usize, cutoff: usize) -> Self {
         let kind = if len <= 1 {
             PlanKind::Trivial
         } else {
             let factors = factorize(len);
-            if len >= cutoff && four_step_split(len, &factors).is_some() {
-                PlanKind::FourStep(FourStepPlan::new(len, &factors, cutoff))
-            } else if factors.iter().all(|&f| f <= 7) {
+            if factors.iter().all(|&f| f <= 7) {
                 PlanKind::Smooth(SmoothPlan::new(len, &factors))
             } else {
-                PlanKind::Bluestein(BluesteinPlan::new(len, cutoff))
+                PlanKind::Bluestein(BluesteinPlan::new(len))
             }
         };
         Fft { len, kind }
@@ -283,9 +226,8 @@ impl Fft {
     /// The unnormalised plane transform shared by every entry point: runs the
     /// plan kernels in place without the inverse `1/N` scale (the callers
     /// apply it), with `conj` selecting the inverse (conjugated-twiddle)
-    /// direction. Four-step sub-transforms run through this so the scale is
-    /// applied exactly once, at the outermost level.
-    pub(crate) fn process_split_raw(&self, re: &mut [f64], im: &mut [f64], conj: bool) {
+    /// direction.
+    fn process_split_raw(&self, re: &mut [f64], im: &mut [f64], conj: bool) {
         match &self.kind {
             PlanKind::Trivial => {}
             PlanKind::Smooth(plan) => {
@@ -304,7 +246,6 @@ impl Fft {
                 };
                 plan.process_split(re, im, direction);
             }
-            PlanKind::FourStep(plan) => plan.run(re, im, conj),
         }
     }
 
@@ -325,7 +266,7 @@ impl Fft {
                 work.copy_to_interleaved(data);
                 plan_cache::give_split(work);
             }
-            PlanKind::Bluestein(_) | PlanKind::FourStep(_) => {
+            PlanKind::Bluestein(_) => {
                 let mut work = plan_cache::take_split(self.len);
                 work.copy_from_interleaved(data);
                 self.process_split_raw(&mut work.re, &mut work.im, conj);
@@ -585,10 +526,8 @@ fn generic_stage(re: &mut [f64], im: &mut [f64], stage: &Stage, conj: bool) {
 }
 
 impl BluesteinPlan {
-    /// Builds the chirp/filter tables; `cutoff` propagates the four-step
-    /// threshold into the power-of-two convolution plan, so large prime
-    /// lengths inherit the parallel path through their convolution.
-    fn new(len: usize, cutoff: usize) -> Self {
+    /// Builds the chirp/filter tables.
+    fn new(len: usize) -> Self {
         // The smallest power-of-two convolution length that makes the
         // circular convolution equal the linear one on the outputs we keep.
         let conv_len = (2 * len - 1).next_power_of_two();
@@ -612,7 +551,7 @@ impl BluesteinPlan {
                 filter_fft.im[conv_len - n] = -chirp.im[n];
             }
         }
-        let inner = Box::new(Fft::new_with_cutoff(conv_len, cutoff));
+        let inner = Box::new(Fft::new(conv_len));
         inner.process_split(&mut filter_fft.re, &mut filter_fft.im, Direction::Forward);
         BluesteinPlan {
             conv_len,
@@ -668,206 +607,6 @@ impl BluesteinPlan {
         }
         plan_cache::give_split(a);
     }
-}
-
-/// One contiguous run of columns (stage 1) or rows (stage 2) of the four-step
-/// matrix, owned by a single pool task. Ownership moves into the task and
-/// back out through [`pool::Pool::map`], so no locking guards the planes.
-struct FourStepGroup {
-    /// First column/row index covered by this group.
-    start: usize,
-    /// Number of columns/rows in the group.
-    count: usize,
-    /// `count` transforms, row-major, deinterleaved.
-    buf: SplitComplex,
-}
-
-impl FourStepPlan {
-    fn new(len: usize, factors: &[usize], cutoff: usize) -> Self {
-        let (n1, n2) =
-            four_step_split(len, factors).expect("four-step requires a composite length");
-        // Sub-plans inherit the cutoff: a very large transform decomposes
-        // recursively, and test plans with a tiny cutoff exercise nesting.
-        let col = Arc::new(Fft::new_with_cutoff(n2, cutoff));
-        let row = Arc::new(Fft::new_with_cutoff(n1, cutoff));
-        // W_N^{j1·k2} with the exponent reduced mod N before the angle is
-        // formed, to keep precision at large N (same trick as the chirp).
-        let mut twiddle = SplitComplex::with_len(len);
-        for j1 in 0..n1 {
-            let base = j1 * n2;
-            for k2 in 0..n2 {
-                let idx = ((j1 as u128 * k2 as u128) % len as u128) as f64;
-                let angle = -2.0 * std::f64::consts::PI * idx / len as f64;
-                twiddle.re[base + k2] = angle.cos();
-                twiddle.im[base + k2] = angle.sin();
-            }
-        }
-        FourStepPlan {
-            n1,
-            n2,
-            col,
-            row,
-            twiddle: Arc::new(twiddle),
-        }
-    }
-
-    /// Splits `0..total` into contiguous groups of roughly `total / (2 ·
-    /// threads)` each, with every group's buffer drawn from the caller's
-    /// scratch pool. Grouping only affects scheduling: no arithmetic crosses
-    /// a group boundary, which is why results are bit-identical across
-    /// thread counts.
-    fn make_groups(total: usize, row_len: usize, pool: &pool::Pool) -> Vec<FourStepGroup> {
-        let chunk = total.div_ceil(pool.thread_count() * 2).max(1);
-        let mut groups = Vec::with_capacity(total.div_ceil(chunk));
-        let mut start = 0;
-        while start < total {
-            let count = chunk.min(total - start);
-            groups.push(FourStepGroup {
-                start,
-                count,
-                buf: plan_cache::take_split(count * row_len),
-            });
-            start += count;
-        }
-        groups
-    }
-
-    /// Executes the unnormalised four-step transform in place on the ambient
-    /// pool ([`pool::current`]): inline pool → sequential, identical
-    /// arithmetic.
-    fn run(&self, re: &mut [f64], im: &mut [f64], conj: bool) {
-        let (n1, n2) = (self.n1, self.n2);
-        let len = n1 * n2;
-        let pool = pool::current();
-        let sign = if conj { -1.0 } else { 1.0 };
-
-        // Pool tasks are `'static`, so they cannot borrow `re`/`im`; the
-        // input is copied once into a pooled buffer the tasks share
-        // read-only. The copy is contiguous (cheap); the expensive strided
-        // gathers happen inside the parallel tasks.
-        let mut input = plan_cache::take_split(len);
-        input.re.copy_from_slice(re);
-        input.im.copy_from_slice(im);
-        let input = Arc::new(input);
-
-        // Stage 1: for each column j1, gather x[n1·j2 + j1], FFT (length n2),
-        // then scale by W_N^{j1·k2}.
-        let groups = Self::make_groups(n1, n2, &pool);
-        let col = self.col.clone();
-        let twiddle = self.twiddle.clone();
-        let shared_input = input.clone();
-        let cols = pool.map(groups, move |_, g: &mut FourStepGroup| {
-            for local in 0..g.count {
-                let j1 = g.start + local;
-                let (bre, bim) = g.buf.planes_mut();
-                let cre = &mut bre[local * n2..(local + 1) * n2];
-                let cim = &mut bim[local * n2..(local + 1) * n2];
-                for j2 in 0..n2 {
-                    cre[j2] = shared_input.re[n1 * j2 + j1];
-                    cim[j2] = shared_input.im[n1 * j2 + j1];
-                }
-                col.process_split_raw(cre, cim, conj);
-                let twr = &twiddle.re[j1 * n2..(j1 + 1) * n2];
-                let twi = &twiddle.im[j1 * n2..(j1 + 1) * n2];
-                for k2 in 0..n2 {
-                    let xr = cre[k2];
-                    let xi = cim[k2];
-                    let wr = twr[k2];
-                    let wi = sign * twi[k2];
-                    cre[k2] = xr * wr - xi * wi;
-                    cim[k2] = xr * wi + xi * wr;
-                }
-            }
-        });
-        let Ok(input) = Arc::try_unwrap(input) else {
-            panic!("four-step tasks released the shared input at join");
-        };
-        plan_cache::give_split(input);
-
-        // Stage 2: for each output residue k2, gather the j1-th column
-        // results, FFT (length n1). The concatenated stage-1 group buffers
-        // already form the n1 × n2 intermediate matrix, so tasks read it in
-        // place through the shared Vec instead of reassembling it.
-        let cols = Arc::new(cols);
-        let groups = Self::make_groups(n2, n1, &pool);
-        let row = self.row.clone();
-        let shared_cols = cols.clone();
-        let rows = pool.map(groups, move |_, g: &mut FourStepGroup| {
-            for local in 0..g.count {
-                let k2 = g.start + local;
-                let (bre, bim) = g.buf.planes_mut();
-                let rre = &mut bre[local * n1..(local + 1) * n1];
-                let rim = &mut bim[local * n1..(local + 1) * n1];
-                let mut j1 = 0;
-                for src in shared_cols.iter() {
-                    for l in 0..src.count {
-                        rre[j1] = src.buf.re[l * n2 + k2];
-                        rim[j1] = src.buf.im[l * n2 + k2];
-                        j1 += 1;
-                    }
-                }
-                row.process_split_raw(rre, rim, conj);
-            }
-        });
-
-        // Scatter: X[n2·k1 + k2] = R_{k2}[k1] (sequential on the caller —
-        // the writes interleave across groups, so they cannot be split).
-        for g in &rows {
-            for local in 0..g.count {
-                let k2 = g.start + local;
-                let rre = &g.buf.re[local * n1..(local + 1) * n1];
-                let rim = &g.buf.im[local * n1..(local + 1) * n1];
-                for (k1, (&r, &i)) in rre.iter().zip(rim).enumerate() {
-                    re[n2 * k1 + k2] = r;
-                    im[n2 * k1 + k2] = i;
-                }
-            }
-        }
-
-        let Ok(cols) = Arc::try_unwrap(cols) else {
-            panic!("four-step tasks released the stage-1 buffers at join");
-        };
-        for g in cols {
-            plan_cache::give_split(g.buf);
-        }
-        for g in rows {
-            plan_cache::give_split(g.buf);
-        }
-    }
-}
-
-/// Picks a balanced `N = n1·n2` split for the four-step decomposition —
-/// `n1` is the largest divisor buildable from the prime factors that stays
-/// at or below `√N` — or `None` when `len` is prime (no non-trivial split).
-fn four_step_split(len: usize, factors: &[usize]) -> Option<(usize, usize)> {
-    let target = integer_sqrt(len);
-    let mut n1 = 1usize;
-    for &f in factors.iter().rev() {
-        if n1 * f <= target {
-            n1 *= f;
-        }
-    }
-    if n1 == 1 {
-        // Every factor exceeds √N (e.g. 2·p with a huge prime p): fall back
-        // to the smallest factor so the dominant side still decomposes.
-        n1 = *factors.first()?;
-    }
-    if n1 <= 1 || n1 >= len {
-        return None;
-    }
-    Some((n1, len / n1))
-}
-
-/// `⌊√n⌋` without floating-point edge cases.
-fn integer_sqrt(n: usize) -> usize {
-    let mut r = (n as f64).sqrt() as usize;
-    while r.saturating_mul(r) > n {
-        r -= 1;
-    }
-    while (r + 1).saturating_mul(r + 1) <= n {
-        r += 1;
-    }
-    r
 }
 
 /// Forward DFT of a real-valued signal, returning the full complex spectrum.
@@ -1220,186 +959,81 @@ mod tests {
     }
 
     #[test]
-    fn four_step_split_is_balanced_and_rejects_primes() {
-        for &(len, n1, n2) in &[
-            (32_768usize, 128usize, 256usize), // 2^15: n1 = 128 ≤ √N < 256
-            (4096, 64, 64),                    // perfect square
-            (360, 15, 24),                     // mixed radix (greedy: 5·3 ≤ 18)
-        ] {
-            assert_eq!(
-                four_step_split(len, &factorize(len)),
-                Some((n1, n2)),
-                "len={len}"
-            );
-        }
-        // A length with every factor above √N still splits off its smallest.
-        assert_eq!(four_step_split(1018, &factorize(1018)), Some((2, 509)));
-        // Primes cannot split.
-        assert_eq!(four_step_split(8191, &factorize(8191)), None);
-        assert_eq!(integer_sqrt(0), 0);
-        assert_eq!(integer_sqrt(35), 5);
-        assert_eq!(integer_sqrt(36), 6);
-    }
-
-    #[test]
-    fn plan_kind_selection_honours_the_cutoff() {
-        // Composite at/above the cutoff → four-step; below → legacy kernels;
-        // prime above the cutoff → Bluestein whose inner convolution is
-        // four-step.
-        assert!(matches!(
-            Fft::new_with_cutoff(4096, 1024).kind,
-            PlanKind::FourStep(_)
-        ));
-        assert!(matches!(
-            Fft::new_with_cutoff(4096, 8192).kind,
-            PlanKind::Smooth(_)
-        ));
-        // Hot FTIO lengths stay fully sequential at the default cutoff: 7919
-        // is prime → Bluestein, and its convolution length 16384 < 32768 so
-        // the inner plan keeps the smooth kernels.
-        match &Fft::new(7919).kind {
-            PlanKind::Bluestein(plan) => {
-                assert!(matches!(plan.inner.kind, PlanKind::Smooth(_)));
-            }
-            other => panic!("7919 should be Bluestein, got {other:?}"),
-        }
-        match &Fft::new_with_cutoff(211, 64).kind {
-            PlanKind::Bluestein(plan) => {
-                assert!(
-                    matches!(plan.inner.kind, PlanKind::FourStep(_)),
-                    "conv plan should be four-step"
-                );
-            }
-            other => panic!("211 should be Bluestein, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn four_step_matches_naive_dft() {
-        // Power-of-two, mixed-radix and composite-with-big-prime lengths all
-        // through the four-step path (cutoff forced low), checked against the
-        // O(N²) reference.
-        for &n in &[256usize, 360, 512, 1018] {
-            let signal: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.61).sin(), (i as f64 * 0.23).cos()))
-                .collect();
-            let plan = Fft::new_with_cutoff(n, 64);
-            assert!(matches!(plan.kind, PlanKind::FourStep(_)), "n={n}");
-            let fast = plan.forward(&signal);
-            let slow = dft_naive(&signal, Direction::Forward);
-            assert_spectra_close(&fast, &slow, 1e-6);
-            let roundtrip = plan.inverse(&fast);
-            assert_spectra_close(&roundtrip, &signal, 1e-6);
-        }
-    }
-
-    #[test]
-    fn four_step_is_bit_identical_across_thread_counts() {
-        use crate::pool::{install, Pool};
-        // Mixed-radix (360·6), power-of-two, and prime-via-Bluestein lengths;
-        // both directions; thread counts {1, 2, 4}. Equality is exact
-        // (`==` on the f64 planes), which is the bit-for-bit contract: task
-        // grouping must never change any per-element arithmetic.
-        for &n in &[2160usize, 4096, 2053] {
-            let plan = Fft::new_with_cutoff(n, 512);
-            let signal: Vec<Complex> = (0..n)
-                .map(|i| Complex::new((i as f64 * 0.37).sin(), (i as f64 * 0.19).cos()))
-                .collect();
-            for direction in [Direction::Forward, Direction::Inverse] {
-                let mut reference: Option<(Vec<f64>, Vec<f64>)> = None;
-                for threads in [1usize, 2, 4] {
-                    let pool = Pool::new(threads);
-                    let mut re: Vec<f64> = signal.iter().map(|z| z.re).collect();
-                    let mut im: Vec<f64> = signal.iter().map(|z| z.im).collect();
-                    install(&pool, || plan.process_split(&mut re, &mut im, direction));
-                    match &reference {
-                        None => reference = Some((re, im)),
-                        Some((rre, rim)) => {
-                            assert!(
-                                re == *rre && im == *rim,
-                                "n={n} {direction:?} threads={threads}: planes differ from 1-thread result"
-                            );
-                        }
-                    }
+    fn plan_kind_follows_the_prime_factors() {
+        // 2^15 has only small factors → mixed-radix, however long.
+        assert!(matches!(Fft::new(32_768).kind, PlanKind::Smooth(_)));
+        // 16411 is prime → Bluestein over a 65,536-point convolution, which
+        // is itself mixed-radix. So is the hot FTIO length 7919 (16,384).
+        assert_eq!(factorize(16_411), vec![16_411]);
+        for (n, conv_len) in [(16_411usize, 65_536usize), (7919, 16_384)] {
+            match &Fft::new(n).kind {
+                PlanKind::Bluestein(plan) => {
+                    assert_eq!(plan.conv_len, conv_len, "n={n}");
+                    assert!(matches!(plan.inner.kind, PlanKind::Smooth(_)), "n={n}");
                 }
+                other => panic!("{n} should be Bluestein, got {other:?}"),
             }
         }
     }
 
+    /// The longest transforms offline detection runs (the ACF of a signal of
+    /// ≥ 16,385 samples is a 65,536-point real FFT), checked against a
+    /// directly evaluated DFT at seeded bins and by an inverse round trip.
     #[test]
-    fn real_fft_is_bit_identical_across_thread_counts() {
-        use crate::pool::{install, Pool};
-        // r2c/c2r at a length whose inner complex plan (N/2 = 32768) sits
-        // exactly at the default four-step cutoff — the production path large
-        // real transforms take.
+    fn large_plans_match_a_direct_dft_and_round_trip() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const BINS: usize = 16;
+        // X[k] = Σ x[t]·W_N^{k·t}, with the exponent reduced mod N before
+        // the angle is formed so the reference keeps its precision at large N.
+        fn direct_bin(x: &[Complex], k: usize) -> Complex {
+            let n = x.len();
+            x.iter().enumerate().fold(Complex::ZERO, |acc, (t, &v)| {
+                let idx = ((k as u128 * t as u128) % n as u128) as f64;
+                acc + v * Complex::cis(-2.0 * std::f64::consts::PI * idx / n as f64)
+            })
+        }
+        fn assert_close(a: Complex, b: Complex, tol: f64, what: &str) {
+            assert!(
+                (a.re - b.re).abs() <= tol && (a.im - b.im).abs() <= tol,
+                "{what}: {a:?} vs {b:?} (tolerance {tol:e})"
+            );
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x0d59_0f70);
+        for n in [32_768usize, 65_536, 16_411] {
+            let x: Vec<Complex> = (0..n)
+                .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let tol = 1e-9 * x.iter().map(|v| v.abs()).sum::<f64>();
+            let plan = Fft::new(n);
+            let spectrum = plan.forward(&x);
+            for _ in 0..BINS {
+                let k = rng.gen_range(0..n);
+                let what = format!("n={n} bin {k}");
+                assert_close(spectrum[k], direct_bin(&x, k), tol, &what);
+            }
+            let back = plan.inverse(&spectrum);
+            assert_spectra_close(&back, &x, 1e-9);
+        }
+
         let n = 65_536usize;
-        let signal: Vec<f64> = (0..n)
-            .map(|i| (i as f64 * 0.013).sin() + 0.5 * (i as f64 * 0.11).cos())
-            .collect();
+        let signal: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let x: Vec<Complex> = signal.iter().map(|&v| Complex::from_real(v)).collect();
+        let tol = 1e-9 * signal.iter().map(|v| v.abs()).sum::<f64>();
         let plan = crate::rfft::RealFft::new(n);
-        let mut reference = Vec::new();
-        plan.process(&signal, &mut reference);
-        let mut back_reference = Vec::new();
-        plan.inverse(&reference, &mut back_reference);
-        for threads in [2usize, 4] {
-            let pool = Pool::new(threads);
-            let (spec, back) = install(&pool, || {
-                let mut spec = Vec::new();
-                plan.process(&signal, &mut spec);
-                let mut back = Vec::new();
-                plan.inverse(&spec, &mut back);
-                (spec, back)
-            });
-            assert!(spec == reference, "r2c differs at {threads} threads");
-            assert!(back == back_reference, "c2r differs at {threads} threads");
+        let mut half = Vec::new();
+        plan.process(&signal, &mut half);
+        for _ in 0..BINS {
+            let k = rng.gen_range(0..=n / 2);
+            let what = format!("real n={n} bin {k}");
+            assert_close(half[k], direct_bin(&x, k), tol, &what);
         }
-    }
-
-    #[test]
-    fn four_step_steady_state_builds_no_plans_and_grows_no_scratch() {
-        use crate::pool::{install, Pool};
-        let n = 4096usize;
-        let plan = Fft::new_with_cutoff(n, 256);
-        let pool = Pool::new(4);
-        let signal: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let run = |re: &mut Vec<f64>, im: &mut Vec<f64>| {
-            install(&pool, || plan.process_split(re, im, Direction::Forward));
-        };
-        // Deterministic worker warm-up: pre-fill every worker's scratch pool
-        // with full-size buffers so any later take pops one with sufficient
-        // capacity, no matter which worker steals which task.
-        pool.broadcast(move |_| {
-            let bufs: Vec<_> = (0..8).map(|_| plan_cache::take_split(n)).collect();
-            for buf in bufs {
-                plan_cache::give_split(buf);
-            }
-        });
-        // Caller warm-up: grow the caller-side group buffers.
-        for _ in 0..3 {
-            let mut re = signal.clone();
-            let mut im = vec![0.0; n];
-            run(&mut re, &mut im);
-        }
-        plan_cache::reset_stats();
-        pool.broadcast(|_| plan_cache::reset_stats());
-        for _ in 0..10 {
-            let mut re = signal.clone();
-            let mut im = vec![0.0; n];
-            run(&mut re, &mut im);
-        }
-        let caller = plan_cache::stats();
-        assert_eq!(caller.plans_built(), 0, "caller built plans: {caller:?}");
-        assert_eq!(caller.scratch_grows, 0, "caller grew scratch: {caller:?}");
-        for (worker, stats) in pool.broadcast(|_| plan_cache::stats()).iter().enumerate() {
-            assert_eq!(
-                stats.plans_built(),
-                0,
-                "worker {worker} built plans: {stats:?}"
-            );
-            assert_eq!(
-                stats.scratch_grows, 0,
-                "worker {worker} grew scratch: {stats:?}"
-            );
+        let mut back = Vec::new();
+        plan.inverse(&half, &mut back);
+        for (t, (a, b)) in back.iter().zip(&signal).enumerate() {
+            assert!((a - b).abs() <= 1e-9, "real n={n} sample {t}: {a} vs {b}");
         }
     }
 

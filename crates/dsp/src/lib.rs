@@ -20,10 +20,6 @@
 //!   FFT autocorrelation, the `ftio-core` online tick) build no plans and
 //!   allocate no work buffers in steady state; debug counters
 //!   ([`plan_cache::stats`]) make the property testable;
-//! * [`mod@pool`] — a small vendored work-stealing thread pool (bounded
-//!   workers, `FTIO_THREADS` budget, scope/join semantics, inline sequential
-//!   degradation at one thread) powering the concurrent four-step FFT and the
-//!   cluster engine's shard workers;
 //! * [`spectrum`] — single-sided amplitude/power spectra, normalised power,
 //!   and time-domain reconstruction from selected bins (Eq. (1) of the paper);
 //! * [`correlation`] — autocorrelation (direct and FFT-based via the real
@@ -60,7 +56,6 @@ pub mod isolation_forest;
 pub mod lof;
 pub mod peaks;
 pub mod plan_cache;
-pub mod pool;
 pub mod rfft;
 pub mod spectrum;
 pub mod stats;
@@ -75,7 +70,6 @@ pub use isolation_forest::{isolation_forest_outliers, ForestConfig, IsolationFor
 pub use lof::{local_outlier_factor, LofResult};
 pub use peaks::{find_peak_indices, find_peaks, Peak, PeakConfig};
 pub use plan_cache::PlanCacheStats;
-pub use pool::Pool;
 pub use rfft::{irfft, rfft, RealFft};
 pub use spectrum::{reconstruct_from_bins, reconstruct_from_top_bins, Spectrum};
 pub use stats::BoxStats;

@@ -28,10 +28,11 @@ use crate::rfft::RealFft;
 
 /// Maximum number of complex-FFT and real-FFT plans kept per thread.
 const PLAN_CAPACITY: usize = 16;
-/// Maximum number of pooled split work buffers kept per thread. Sized for
-/// the four-step FFT, whose caller holds one group buffer per parallel task
-/// (up to two per pool thread and stage) plus the shared input copy.
-const SCRATCH_POOL_CAPACITY: usize = 32;
+/// Maximum number of pooled split work buffers kept per thread. One call
+/// holds at most four at once: a real FFT's half-spectrum output and packed
+/// input, a Bluestein convolution buffer, and the mixed-radix scratch of its
+/// inner plan.
+const SCRATCH_POOL_CAPACITY: usize = 8;
 
 /// Debug counters of the thread-local plan cache.
 ///
@@ -166,10 +167,11 @@ pub fn clear() {
 pub fn take_split(len: usize) -> SplitComplex {
     // Best fit: the smallest pooled buffer that already holds `len` elements,
     // or — when none is big enough — the largest one (the cheapest to grow).
-    // A plain LIFO pop would be pathological for callers that cycle through
-    // mixed sizes (the four-step FFT holds many small group buffers plus one
-    // full-size input): popping a small buffer for a full-size request would
-    // reallocate on every call.
+    // A plain LIFO pop would be pathological for callers that nest buffers of
+    // two sizes (a real FFT holds its half-length input while the inner
+    // Bluestein plan takes a convolution buffer at least twice as long):
+    // popping the short buffer for the long request would reallocate on
+    // every call.
     let mut buf = CACHE
         .with(|cache| {
             let pool = &mut cache.borrow_mut().split;

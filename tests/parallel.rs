@@ -12,11 +12,13 @@
 //! * **Zero-allocation steady state under a thread budget** — with fewer
 //!   workers than shards, each worker's thread-local FFT plan cache still
 //!   converges: steady-state ticks build no plans and grow no scratch.
-//! * **Thread-budget derivation** — the `FTIO_THREADS`-style strings the CLI
-//!   and the env variable accept parse to the same budgets everywhere, and a
-//!   serve daemon's CPU budget is exactly the configured worker count.
+//! * **Thread-budget parsing** — every engine-backed subcommand reads
+//!   `--threads` the same way, with the `FTIO_THREADS` default behind it.
+//! * **Serve worker budget** — a serve daemon's CPU budget is exactly the
+//!   configured worker count: the workers run every transform themselves,
+//!   and the engine's worker threads are the program's only parallelism.
 
-use ftio_core::pool;
+use ftio_cli::{cluster, default_threads, eval, replay, serve};
 use ftio_core::server::{Server, ServerConfig, ServerListener};
 use ftio_core::{
     BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction, Pacing,
@@ -175,22 +177,48 @@ fn thread_budgeted_steady_state_builds_no_plans() {
     }
 }
 
-/// The budget strings accepted by `--threads` and `FTIO_THREADS` resolve the
-/// same way everywhere: explicit counts pass through (clamped), `auto`/empty/
-/// zero/garbage defer to the machine.
+/// `--threads` means the same engine worker count on every engine-backed
+/// subcommand: counts pass through (clamped), `auto` and `0` defer to the
+/// `FTIO_THREADS` default, garbage is an error, and no flag is the default.
 #[test]
 fn thread_budget_parsing_is_uniform() {
-    assert_eq!(pool::parse_threads(Some("1")), Some(1));
-    assert_eq!(pool::parse_threads(Some("8")), Some(8));
-    assert_eq!(pool::parse_threads(Some(" 4 ")), Some(4));
-    // Deferred to the machine: unset, empty, auto, zero, garbage.
-    assert_eq!(pool::parse_threads(None), None);
-    assert_eq!(pool::parse_threads(Some("")), None);
-    assert_eq!(pool::parse_threads(Some("auto")), None);
-    assert_eq!(pool::parse_threads(Some("0")), None);
-    assert_eq!(pool::parse_threads(Some("not-a-number")), None);
-    // The derived budget is always usable as a pool size.
-    assert!(pool::thread_budget() >= 1);
+    type ParseThreads = fn(&[String]) -> Result<usize, String>;
+    let subcommands: [(&str, &[&str], ParseThreads); 4] = [
+        ("cluster", &[], |args| {
+            cluster::parse_cluster_options(args).map(|o| o.threads)
+        }),
+        ("replay", &["trace.jsonl"], |args| {
+            replay::parse_replay_options(args).map(|o| o.threads)
+        }),
+        ("serve", &["--tcp", "127.0.0.1:0"], |args| {
+            serve::parse_serve_options(args).map(|o| o.threads)
+        }),
+        ("eval", &["--all", "--engine"], |args| {
+            eval::parse_eval_options(args).map(|o| o.threads)
+        }),
+    ];
+    for (name, required, parse) in subcommands {
+        let with = |extra: &[&str]| -> Vec<String> {
+            required
+                .iter()
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect()
+        };
+        assert_eq!(parse(&with(&[])), Ok(default_threads()), "{name}");
+        for (value, expected) in [("1", 1), ("8", 8), (" 4 ", 4), ("1000000", 256)] {
+            let parsed = parse(&with(&["--threads", value]));
+            assert_eq!(parsed, Ok(expected), "{name} --threads {value:?}");
+        }
+        for value in ["auto", "0"] {
+            let parsed = parse(&with(&["--threads", value]));
+            assert_eq!(parsed, Ok(default_threads()), "{name} --threads {value}");
+        }
+        for value in ["not-a-number", "-3", ""] {
+            let parsed = parse(&with(&["--threads", value]));
+            assert!(parsed.is_err(), "{name} --threads {value:?}");
+        }
+    }
 }
 
 /// A serve daemon's CPU-bound budget is the engine worker count: the
