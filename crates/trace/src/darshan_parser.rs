@@ -39,7 +39,7 @@ use std::io::BufRead;
 use crate::app_id::AppId;
 use crate::errors::{snippet_of, TraceError, TraceResult};
 use crate::request::{IoApi, IoKind, IoRequest};
-use crate::source::{validate_request, TraceBatch, TraceSource};
+use crate::source::{read_text_line, validate_request, TraceBatch, TraceSource};
 
 /// Upper bound on heatmap bin indices. Real Darshan heatmaps have at most a
 /// few hundred bins; the cap keeps a corrupt index from driving an unbounded
@@ -243,10 +243,10 @@ impl<R: BufRead> TraceSource for DarshanParserSource<R> {
             return Ok(None);
         }
         let mut requests = Vec::new();
-        let mut line = String::new();
+        let mut buf = Vec::new();
         while requests.len() < self.batch_size {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)?
+            else {
                 self.done = true;
                 if !self.bins.is_empty() && self.bin_width.is_none() {
                     return Err(TraceError::invalid(
@@ -255,8 +255,7 @@ impl<R: BufRead> TraceSource for DarshanParserSource<R> {
                     ));
                 }
                 break;
-            }
-            self.line_number += 1;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;

@@ -299,7 +299,11 @@ pub fn drain_single(source: &mut dyn TraceSource, name: &str) -> TraceResult<Dra
                     TraceBatch::bins(source.app_id(), h.start, h.bin_width, h.bins).into_requests(),
                 );
             }
-            let ranks = requests.iter().map(|r| r.rank + 1).max().unwrap_or(0);
+            let ranks = requests
+                .iter()
+                .map(|r| r.rank.saturating_add(1))
+                .max()
+                .unwrap_or(0);
             Ok(DrainedInput::Trace(AppTrace::from_requests(
                 name, ranks, requests,
             )))
@@ -342,14 +346,13 @@ impl<R: BufRead> TraceSource for JsonlSource<R> {
             return Ok(None);
         }
         let mut requests = Vec::with_capacity(self.batch_size);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         while requests.len() < self.batch_size {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)?
+            else {
                 self.done = true;
                 break;
-            }
-            self.line_number += 1;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -400,15 +403,14 @@ impl<R: BufRead> TraceSource for RecorderSource<R> {
             return Ok(None);
         }
         let mut requests = Vec::with_capacity(self.batch_size);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         while requests.len() < self.batch_size {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)?
+            else {
                 self.done = true;
                 break;
-            }
-            self.line_number += 1;
-            if let Some(request) = crate::recorder::decode_line(&line, self.line_number)
+            };
+            if let Some(request) = crate::recorder::decode_line(line, self.line_number)
                 .map_err(|e| e.with_context(self.line_number, line.trim()))?
             {
                 validate_request(&request, self.line_number, || line.trim().to_string())?;
@@ -534,11 +536,10 @@ impl<R: BufRead> HeatmapTextSource<R> {
     }
 
     fn read_header(&mut self) -> TraceResult<(f64, f64)> {
-        let mut line = String::new();
-        if self.reader.read_line(&mut line)? == 0 {
+        let mut buf = Vec::new();
+        let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)? else {
             return Err(TraceError::UnexpectedEof);
-        }
-        self.line_number += 1;
+        };
         let header = line.trim();
         if !header.starts_with("# darshan-heatmap") {
             return Err(TraceError::malformed_snippet(
@@ -588,14 +589,13 @@ impl<R: BufRead> TraceSource for HeatmapTextSource<R> {
             }
         };
         let mut bins = Vec::with_capacity(self.batch_size);
-        let mut line = String::new();
+        let mut buf = Vec::new();
         while bins.len() < self.batch_size {
-            line.clear();
-            if self.reader.read_line(&mut line)? == 0 {
+            let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)?
+            else {
                 self.done = true;
                 break;
-            }
-            self.line_number += 1;
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -631,6 +631,29 @@ impl<R: BufRead> TraceSource for HeatmapTextSource<R> {
             bins,
         )))
     }
+}
+
+/// Reads the next line of a text trace into `buf` and counts it in
+/// `line_number`; `None` at the end of the input. A line that is not UTF-8
+/// is a positioned error quoting the line lossily, like every other decode
+/// error, rather than an I/O error that names no line.
+pub(crate) fn read_text_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    line_number: &mut usize,
+) -> TraceResult<Option<&'b str>> {
+    buf.clear();
+    if reader.read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    *line_number += 1;
+    std::str::from_utf8(buf).map(Some).map_err(|e| {
+        TraceError::malformed_snippet(
+            format!("line is not valid UTF-8 ({e})"),
+            *line_number,
+            snippet_of(&String::from_utf8_lossy(buf)),
+        )
+    })
 }
 
 /// Rejects decoded requests whose timestamps are NaN, negative, or reversed —
@@ -1183,6 +1206,44 @@ mod tests {
         let mut source = MemorySource::from_batches(AppId::new(1), batches);
         let err = drain_single(&mut source, "x").unwrap_err().to_string();
         assert!(err.contains("bin width changed"), "{err}");
+    }
+
+    #[test]
+    fn drain_single_counts_the_largest_rank() {
+        let line = format!(
+            r#"{{"rank":{},"start":0.0,"end":1.0,"bytes":5,"kind":"write"}}"#,
+            usize::MAX
+        );
+        let (_, mut source) = from_bytes_auto(None, AppId::new(1), line.into_bytes(), 4).unwrap();
+        match drain_single(source.as_mut(), "max").unwrap() {
+            DrainedInput::Trace(trace) => assert_eq!(trace.metadata().num_ranks, usize::MAX),
+            DrainedInput::Heatmap(_) => panic!("expected a trace"),
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_is_a_positioned_error_in_every_text_format() {
+        let jsonl = crate::jsonl::encode_request(&IoRequest::write(0, 0.0, 1.0, 1));
+        for (format, first_line) in [
+            (SourceFormat::Jsonl, jsonl.as_str()),
+            (SourceFormat::Recorder, "0 MPI_File_write_all 0.0 0.5 100"),
+            (
+                SourceFormat::HeatmapText,
+                "# darshan-heatmap start=0 bin_width=1",
+            ),
+            (SourceFormat::DarshanParser, "# darshan log version: 3.41"),
+        ] {
+            let mut doc = format!("{first_line}\n").into_bytes();
+            doc.extend_from_slice(b"{\"rank\":\xff}\n");
+            let mut source = from_bytes(format, AppId::new(0), doc, 8).unwrap();
+            let err = drain_requests(source.as_mut()).unwrap_err().to_string();
+            assert!(err.contains("position 2"), "{format:?}: {err}");
+            assert!(err.contains("not valid UTF-8"), "{format:?}: {err}");
+            assert!(
+                err.contains("near `{\"rank\":\u{fffd}}`"),
+                "{format:?}: {err}"
+            );
+        }
     }
 
     #[test]

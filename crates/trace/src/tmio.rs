@@ -306,18 +306,28 @@ fn section_requests(
                 ),
             ));
         }
-        let rank = match ranks {
-            Some(r) if r[i].fract() == 0.0 && r[i] >= 0.0 => r[i] as usize,
-            Some(r) => {
+        // Ranks are integers in `f64` arrays: one beyond `u64` is an error,
+        // not a rank that `as` saturates.
+        let rank = match ranks.map(|r| r[i]) {
+            None => 0,
+            Some(r) if r.fract() != 0.0 || r < 0.0 => {
                 return Err(TraceError::invalid(
                     "ranks",
                     format!(
-                        "section `{section}` entry {i}: rank {} is not a non-negative integer",
-                        r[i]
+                        "section `{section}` entry {i}: rank {r} is not a non-negative integer"
                     ),
                 ))
             }
-            None => 0,
+            Some(r) if r >= crate::jsonl::U64_END => {
+                return Err(TraceError::invalid(
+                    "ranks",
+                    format!(
+                        "section `{section}` entry {i}: rank {r} is out of range \
+                         for an unsigned 64-bit integer"
+                    ),
+                ))
+            }
+            Some(r) => r as usize,
         };
         let request = IoRequest {
             rank,
@@ -711,6 +721,22 @@ mod tests {
             );
             assert_eq!(g.kind, e.kind);
         }
+    }
+
+    #[test]
+    fn ranks_beyond_u64_are_out_of_range() {
+        let profile = |rank: &str| {
+            format!(
+                r#"{{"write_sync": {{"b_rank_avr": [1.0], "t_rank_s": [0.0],
+                    "t_rank_e": [1.0], "ranks": [{rank}]}}}}"#
+            )
+        };
+        let err = decode_json(&profile("1e30")).unwrap_err().to_string();
+        assert!(err.contains("out of range"), "{err}");
+        // The largest `f64` below 2^64 is still a rank, and counting it
+        // does not overflow.
+        let largest = decode_json(&profile("18446744073709549568")).unwrap();
+        assert_eq!(largest.ranks, 18_446_744_073_709_549_569);
     }
 
     #[test]
