@@ -119,9 +119,9 @@ fn serve_fleet(stream: &FleetStream, shards: usize, tag: &str) -> u64 {
 fn bench_serve_ingest(c: &mut Criterion) {
     // The vendored criterion stub has no throughput reporting; derive MB/s
     // from the wall time and the printed byte counts when recording
-    // EXPERIMENTS.md. A whole session pays a fixed ~2×20 ms poll-interval
-    // floor (accept + shutdown observation), so the small payload measures
-    // session latency and the large one measures per-byte ingest cost.
+    // EXPERIMENTS.md. The small payload measures session latency (server
+    // start, accept, drain, shutdown) and the large one per-byte ingest
+    // cost.
     let mut group = c.benchmark_group("serve_ingest");
     group.sample_size(10);
     for (label, flushes) in [("small", 24), ("large", 960)] {

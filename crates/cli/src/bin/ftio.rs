@@ -45,13 +45,20 @@ use ftio_core::{detect_heatmap, detect_signal, report, sample_trace, sample_trac
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let rest = args.get(1..).unwrap_or_default();
     match args.first().map(String::as_str) {
-        Some("cluster") => return run_cluster_command(&args[1..]),
-        Some("replay") => return run_replay_command(&args[1..]),
-        Some("eval") => return run_eval_command(&args[1..]),
-        Some("serve") => return run_serve_command(&args[1..]),
-        Some("client") => return run_client_command(&args[1..]),
-        Some("watch") => return run_watch_command(&args[1..]),
+        Some("cluster") => {
+            return run_subcommand(rest, CLUSTER_USAGE, parse_cluster_options, run_cluster)
+        }
+        Some("replay") => {
+            return run_subcommand(rest, REPLAY_USAGE, parse_replay_options, run_replay)
+        }
+        Some("eval") => return run_subcommand(rest, EVAL_USAGE, parse_eval_options, run_eval),
+        Some("serve") => return run_subcommand(rest, SERVE_USAGE, parse_serve_options, run_serve),
+        Some("client") => {
+            return run_subcommand(rest, CLIENT_USAGE, parse_client_options, run_client)
+        }
+        Some("watch") => return run_subcommand(rest, WATCH_USAGE, parse_watch_options, run_watch),
         // `ftio detect <file>` is the explicit spelling of the bare form.
         Some("detect") => {
             args.remove(0);
@@ -111,150 +118,19 @@ fn main() -> ExitCode {
     }
 }
 
-/// `ftio replay ...`: stream a trace file through the sharded cluster engine
-/// and print the replay/detection report.
-fn run_replay_command(args: &[String]) -> ExitCode {
+/// Runs one subcommand: `--help` prints its usage; otherwise its arguments
+/// are parsed and run, and the report is printed, or the error with exit 1.
+fn run_subcommand<O>(
+    args: &[String],
+    usage: &str,
+    parse: fn(&[String]) -> Result<O, String>,
+    run: fn(&O) -> Result<String, String>,
+) -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{REPLAY_USAGE}");
+        println!("{usage}");
         return ExitCode::SUCCESS;
     }
-    let options = match parse_replay_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_replay(&options) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `ftio eval ...`: run the adversarial scenario harness and print the
-/// tracking-latency / frequency-error report against ground truth.
-fn run_eval_command(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{EVAL_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let options = match parse_eval_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_eval(&options) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `ftio serve ...`: run the socket-facing prediction daemon until a client
-/// sends a Shutdown frame, then print the drained report.
-fn run_serve_command(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{SERVE_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let options = match parse_serve_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_serve(&options) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `ftio client ...`: stream a trace file into a running daemon over the
-/// framed wire protocol and print what it answers.
-fn run_client_command(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{CLIENT_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let options = match parse_client_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_client(&options) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `ftio watch ...`: tail a growing trace file and print live predictions.
-fn run_watch_command(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{WATCH_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let options = match parse_watch_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_watch(&options) {
-        Ok(report) => {
-            println!("{report}");
-            ExitCode::SUCCESS
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `ftio cluster ...`: run the multi-application fleet through the sharded
-/// cluster engine and print the accuracy/throughput report.
-fn run_cluster_command(args: &[String]) -> ExitCode {
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{CLUSTER_USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    let options = match parse_cluster_options(args) {
-        Ok(options) => options,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_cluster(&options) {
+    match parse(args).and_then(|options| run(&options)) {
         Ok(report) => {
             println!("{report}");
             ExitCode::SUCCESS

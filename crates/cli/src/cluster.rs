@@ -14,6 +14,8 @@ use std::time::Instant;
 use ftio_core::{BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, WindowStrategy};
 use ftio_synth::multi_app::{MultiAppConfig, MultiAppWorkload};
 
+use crate::{next_value, parse_flag};
+
 /// Options of the `ftio cluster` subcommand.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterCliOptions {
@@ -78,11 +80,11 @@ pub fn parse_cluster_options(args: &[String]) -> Result<ClusterCliOptions, Strin
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--apps" => options.apps = parse_count(args, &mut i, "--apps")?,
-            "--shards" => options.shards = parse_count(args, &mut i, "--shards")?,
-            "--flushes" => options.flushes = parse_count(args, &mut i, "--flushes")?,
-            "--capacity" => options.capacity = parse_count(args, &mut i, "--capacity")?,
-            "--batch" => options.batch = parse_count(args, &mut i, "--batch")?,
+            "--apps" => options.apps = parse_flag(args, &mut i, "--apps")?,
+            "--shards" => options.shards = parse_flag(args, &mut i, "--shards")?,
+            "--flushes" => options.flushes = parse_flag(args, &mut i, "--flushes")?,
+            "--capacity" => options.capacity = parse_flag(args, &mut i, "--capacity")?,
+            "--batch" => options.batch = parse_flag(args, &mut i, "--batch")?,
             "--threads" => {
                 let value = next_value(args, &mut i, "--threads")?;
                 options.threads = crate::parse_threads_flag(&value)?;
@@ -124,20 +126,6 @@ pub fn parse_cluster_options(args: &[String]) -> Result<ClusterCliOptions, Strin
         );
     }
     Ok(options)
-}
-
-fn next_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, String> {
-    *i += 1;
-    args.get(*i)
-        .cloned()
-        .ok_or(format!("missing value for {flag}"))
-}
-
-fn parse_count(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
-    let value = next_value(args, i, flag)?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 /// Runs the fleet through the engine and renders the report.

@@ -16,6 +16,7 @@ pub mod serve;
 pub mod watch;
 
 use std::path::Path;
+use std::str::FromStr;
 
 use ftio_core::FtioConfig;
 use ftio_synth::hacc::{generate as generate_hacc, HaccConfig};
@@ -237,6 +238,18 @@ pub(crate) fn next_value(args: &[String], i: &mut usize, flag: &str) -> Result<S
     args.get(*i)
         .cloned()
         .ok_or(format!("missing value for {flag}"))
+}
+
+/// [`next_value`], parsed as the flag's type.
+pub(crate) fn parse_flag<T: FromStr>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, String> {
+    let value = next_value(args, i, flag)?;
+    value
+        .parse()
+        .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 /// Loads the input described by the options (or builds the demo workload) —

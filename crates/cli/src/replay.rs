@@ -19,7 +19,7 @@ use ftio_core::{
 use ftio_trace::source::{open_path_sized, DEFAULT_BATCH_SIZE};
 use ftio_trace::SourceFormat;
 
-use crate::{next_value, parse_format};
+use crate::{next_value, parse_flag, parse_format};
 
 /// Options of the `ftio replay` subcommand.
 #[derive(Clone, Debug)]
@@ -115,9 +115,9 @@ pub fn parse_replay_options(args: &[String]) -> Result<ReplayCliOptions, String>
                 let value = next_value(args, &mut i, "--format")?;
                 options.format = parse_format(&value)?;
             }
-            "--shards" => options.shards = parse_count(args, &mut i, "--shards")?,
-            "--capacity" => options.capacity = parse_count(args, &mut i, "--capacity")?,
-            "--batch" => options.batch = parse_count(args, &mut i, "--batch")?,
+            "--shards" => options.shards = parse_flag(args, &mut i, "--shards")?,
+            "--capacity" => options.capacity = parse_flag(args, &mut i, "--capacity")?,
+            "--batch" => options.batch = parse_flag(args, &mut i, "--batch")?,
             "--policy" => {
                 let value = next_value(args, &mut i, "--policy")?;
                 options.policy = BackpressurePolicy::parse(&value)
@@ -142,12 +142,11 @@ pub fn parse_replay_options(args: &[String]) -> Result<ReplayCliOptions, String>
                     return Err(format!("invalid sampling frequency `{value}`"));
                 }
             }
-            "--batch-size" => options.batch_size = parse_count(args, &mut i, "--batch-size")?,
-            "--limit" => options.limit = Some(parse_count(args, &mut i, "--limit")? as u64),
+            "--batch-size" => options.batch_size = parse_flag(args, &mut i, "--batch-size")?,
+            "--limit" => options.limit = Some(parse_flag(args, &mut i, "--limit")?),
             "--checkpoint" => options.checkpoint = Some(next_value(args, &mut i, "--checkpoint")?),
             "--checkpoint-every" => {
-                options.checkpoint_every =
-                    Some(parse_count(args, &mut i, "--checkpoint-every")? as u64)
+                options.checkpoint_every = Some(parse_flag(args, &mut i, "--checkpoint-every")?)
             }
             "--resume" => options.resume = Some(next_value(args, &mut i, "--resume")?),
             other if other.starts_with("--") => {
@@ -183,13 +182,6 @@ pub fn parse_replay_options(args: &[String]) -> Result<ReplayCliOptions, String>
         return Err("--checkpoint-every requires --checkpoint <path>".into());
     }
     Ok(options)
-}
-
-fn parse_count(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
-    let value = next_value(args, i, flag)?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 /// Writes one engine snapshot atomically enough for a crash-safe resume: the

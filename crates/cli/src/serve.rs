@@ -6,9 +6,9 @@
 //! [`ClusterEngine`](ftio_core::ClusterEngine) (see
 //! [`ftio_core::server`]). It runs until a client sends a `Shutdown` frame,
 //! then drains the shard queues and prints the final cluster report. The
-//! hostile-traffic hardening knobs — socket deadlines, idle sweep, bounded
-//! push queues, overload shedding, per-tenant quotas — are all exposed as
-//! flags.
+//! hostile-traffic hardening knobs — socket deadlines, idle eviction,
+//! bounded push queues, overload shedding, per-tenant quotas — are all
+//! exposed as flags.
 //!
 //! `ftio client` is the matching sender: it connects (with capped,
 //! seeded-jitter exponential backoff under `--retries`), names its
@@ -37,7 +37,7 @@ use ftio_trace::wire::{Frame, FrameReader};
 use ftio_trace::{AppId, FaultPlan, FaultStream};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::next_value;
+use crate::{next_value, parse_flag};
 
 /// Options of the `ftio serve` subcommand.
 #[derive(Clone, Debug)]
@@ -69,7 +69,7 @@ pub struct ServeCliOptions {
     pub read_timeout_ms: u64,
     /// Socket write timeout in milliseconds (0 = no deadline).
     pub write_timeout_ms: u64,
-    /// Idle-connection sweep deadline in milliseconds (0 = no sweep).
+    /// Idle-connection eviction deadline in milliseconds (0 = never).
     pub idle_timeout_ms: u64,
     /// Bounded per-subscriber prediction push queue capacity.
     pub push_queue: usize,
@@ -210,10 +210,10 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeCliOptions, String> {
         match args[i].as_str() {
             "--unix" => options.unix = Some(next_value(args, &mut i, "--unix")?),
             "--tcp" => options.tcp = Some(next_value(args, &mut i, "--tcp")?),
-            "--max-conns" => options.max_conns = parse_count(args, &mut i, "--max-conns")?,
-            "--shards" => options.shards = parse_count(args, &mut i, "--shards")?,
-            "--capacity" => options.capacity = parse_count(args, &mut i, "--capacity")?,
-            "--batch" => options.batch = parse_count(args, &mut i, "--batch")?,
+            "--max-conns" => options.max_conns = parse_flag(args, &mut i, "--max-conns")?,
+            "--shards" => options.shards = parse_flag(args, &mut i, "--shards")?,
+            "--capacity" => options.capacity = parse_flag(args, &mut i, "--capacity")?,
+            "--batch" => options.batch = parse_flag(args, &mut i, "--batch")?,
             "--policy" => {
                 let value = next_value(args, &mut i, "--policy")?;
                 options.policy = BackpressurePolicy::parse(&value)
@@ -232,30 +232,23 @@ pub fn parse_serve_options(args: &[String]) -> Result<ServeCliOptions, String> {
                     return Err(format!("invalid sampling frequency `{value}`"));
                 }
             }
-            "--batch-size" => options.batch_size = parse_count(args, &mut i, "--batch-size")?,
+            "--batch-size" => options.batch_size = parse_flag(args, &mut i, "--batch-size")?,
             "--read-timeout" => {
-                options.read_timeout_ms = parse_millis(args, &mut i, "--read-timeout")?;
+                options.read_timeout_ms = parse_flag(args, &mut i, "--read-timeout")?
             }
             "--write-timeout" => {
-                options.write_timeout_ms = parse_millis(args, &mut i, "--write-timeout")?;
+                options.write_timeout_ms = parse_flag(args, &mut i, "--write-timeout")?
             }
             "--idle-timeout" => {
-                options.idle_timeout_ms = parse_millis(args, &mut i, "--idle-timeout")?;
+                options.idle_timeout_ms = parse_flag(args, &mut i, "--idle-timeout")?
             }
-            "--push-queue" => options.push_queue = parse_count(args, &mut i, "--push-queue")?,
+            "--push-queue" => options.push_queue = parse_flag(args, &mut i, "--push-queue")?,
             "--slow-policy" => {
                 let value = next_value(args, &mut i, "--slow-policy")?;
                 options.slow_policy = SlowSubscriberPolicy::parse(&value)?;
             }
-            "--retry-after" => {
-                options.retry_after_ms = parse_millis(args, &mut i, "--retry-after")?;
-            }
-            "--resume-ring" => {
-                let value = next_value(args, &mut i, "--resume-ring")?;
-                options.resume_ring = value
-                    .parse()
-                    .map_err(|_| format!("invalid value `{value}` for --resume-ring"))?;
-            }
+            "--retry-after" => options.retry_after_ms = parse_flag(args, &mut i, "--retry-after")?,
+            "--resume-ring" => options.resume_ring = parse_flag(args, &mut i, "--resume-ring")?,
             "--tenant" => {
                 let value = next_value(args, &mut i, "--tenant")?;
                 let (name, spec) = value
@@ -495,32 +488,18 @@ pub fn parse_client_options(args: &[String]) -> Result<ClientCliOptions, String>
             "--file" => options.file = Some(next_value(args, &mut i, "--file")?),
             "--subscribe" => options.subscribe = true,
             "--from-seq" => {
-                let value = next_value(args, &mut i, "--from-seq")?;
-                let seq = value
-                    .parse()
-                    .map_err(|_| format!("invalid value `{value}` for --from-seq"))?;
-                options.from_seq = Some(seq);
+                options.from_seq = Some(parse_flag(args, &mut i, "--from-seq")?);
                 options.subscribe = true;
             }
             "--shutdown" => options.shutdown = true,
-            "--retries" => {
-                let value = next_value(args, &mut i, "--retries")?;
-                options.retries = value
-                    .parse()
-                    .map_err(|_| format!("invalid value `{value}` for --retries"))?;
-            }
+            "--retries" => options.retries = parse_flag(args, &mut i, "--retries")?,
             "--retry-max-ms" => {
-                options.retry_max_ms = parse_millis(args, &mut i, "--retry-max-ms")?;
+                options.retry_max_ms = parse_flag(args, &mut i, "--retry-max-ms")?;
                 if options.retry_max_ms == 0 {
                     return Err("--retry-max-ms must be at least 1".into());
                 }
             }
-            "--retry-seed" => {
-                let value = next_value(args, &mut i, "--retry-seed")?;
-                options.retry_seed = value
-                    .parse()
-                    .map_err(|_| format!("invalid value `{value}` for --retry-seed"))?;
-            }
+            "--retry-seed" => options.retry_seed = parse_flag(args, &mut i, "--retry-seed")?,
             "--inject" => {
                 let value = next_value(args, &mut i, "--inject")?;
                 options.inject = Some(FaultPlan::parse(&value)?);
@@ -799,20 +778,6 @@ fn read_server_frame<R: Read>(frames: &mut FrameReader<R>) -> Result<Frame, Stri
         Ok(None) => Err("the daemon closed the connection".into()),
         Err(e) => Err(format!("broken reply from the daemon: {e}")),
     }
-}
-
-fn parse_count(args: &[String], i: &mut usize, flag: &str) -> Result<usize, String> {
-    let value = next_value(args, i, flag)?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value `{value}` for {flag}"))
-}
-
-fn parse_millis(args: &[String], i: &mut usize, flag: &str) -> Result<u64, String> {
-    let value = next_value(args, i, flag)?;
-    value
-        .parse()
-        .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
 #[cfg(test)]

@@ -275,10 +275,11 @@ pub struct PredictionEvent {
     pub prediction: OnlinePrediction,
 }
 
-/// A registered subscription: the filter (`None` = every application) and the
-/// sending half of the subscriber's channel. Dead receivers are pruned by the
-/// shard workers on the next publish.
-type Subscriber = (Option<AppId>, mpsc::Sender<PredictionEvent>);
+/// A registered subscription: its id, the filter (`None` = every
+/// application) and the sink, which returns `false` once its receiving end
+/// is gone. Dead sinks are pruned by the shard workers on the next publish.
+type Subscriber = (u64, Option<AppId>, EventSink);
+pub(crate) type EventSink = Box<dyn Fn(PredictionEvent) -> bool + Send>;
 
 /// Sequenced publish history of one application: the next sequence number to
 /// assign plus a bounded ring of the most recently published predictions.
@@ -296,6 +297,7 @@ struct SeqRing {
 /// twice.
 struct SubscriptionHub {
     subscribers: Vec<Subscriber>,
+    last_id: u64,
     rings: HashMap<AppId, SeqRing>,
     ring_capacity: usize,
 }
@@ -573,6 +575,7 @@ impl ClusterEngine {
         let plan_stats = Arc::new(Mutex::new(vec![PlanCacheStats::default(); workers]));
         let hub = Arc::new(Mutex::new(SubscriptionHub {
             subscribers: Vec::new(),
+            last_id: 0,
             rings: HashMap::new(),
             ring_capacity: config.resume_ring,
         }));
@@ -763,12 +766,18 @@ impl ClusterEngine {
         from_seq: Option<u64>,
     ) -> mpsc::Receiver<PredictionEvent> {
         let (tx, rx) = mpsc::channel();
+        self.register(app, from_seq, Box::new(move |event| tx.send(event).is_ok()));
+        rx
+    }
+
+    /// [`ClusterEngine::subscribe_from`] into any sink. Returns the id that
+    /// [`ClusterEngine::unsubscribe`] takes.
+    pub(crate) fn register(&self, app: Option<AppId>, from: Option<u64>, sink: EventSink) -> u64 {
         let mut hub = lock_recover(&self.hub);
-        if let (Some(app), Some(from)) = (app, from_seq) {
+        if let (Some(app), Some(from)) = (app, from) {
             if let Some(ring) = hub.rings.get(&app) {
                 for (seq, prediction) in ring.entries.iter().filter(|(seq, _)| *seq >= from) {
-                    // The receiver is in scope, so send cannot fail.
-                    let _ = tx.send(PredictionEvent {
+                    sink(PredictionEvent {
                         app,
                         seq: *seq,
                         prediction: prediction.clone(),
@@ -776,8 +785,22 @@ impl ClusterEngine {
                 }
             }
         }
-        hub.subscribers.push((app, tx));
-        rx
+        hub.last_id += 1;
+        let id = hub.last_id;
+        hub.subscribers.push((id, app, sink));
+        id
+    }
+
+    /// Drops subscription `id` now, rather than at the next matching publish
+    /// after its receiving end is gone.
+    pub(crate) fn unsubscribe(&self, id: u64) {
+        let mut hub = lock_recover(&self.hub);
+        hub.subscribers.retain(|(other, _, _)| *other != id);
+    }
+
+    #[cfg(test)]
+    pub(crate) fn subscriber_count(&self) -> usize {
+        lock_recover(&self.hub).subscribers.len()
     }
 
     /// The resumable window of `app`'s prediction feed, as
@@ -1015,15 +1038,13 @@ fn publish_prediction(hub: &Mutex<SubscriptionHub>, app: AppId, prediction: &Onl
             ring.entries.pop_front();
         }
     }
-    hub.subscribers.retain(|(filter, sender)| {
+    hub.subscribers.retain(|(_, filter, sink)| {
         if filter.map_or(true, |wanted| wanted == app) {
-            sender
-                .send(PredictionEvent {
-                    app,
-                    seq,
-                    prediction: prediction.clone(),
-                })
-                .is_ok()
+            sink(PredictionEvent {
+                app,
+                seq,
+                prediction: prediction.clone(),
+            })
         } else {
             true
         }

@@ -10,13 +10,13 @@
 //! listener ──accept──▶ admission (connection semaphore, tenant quotas)
 //!     │                     │ over limit: Error frame, close
 //!     ▼                     ▼
-//!  accept loop      connection thread (one per client)
-//!  (poll, reap,        │ first byte = 0xFD? ──── framed protocol
-//!   idle sweep)        │        else ─────────── raw trace stream
+//!  accept thread    connection thread (one per client, evicts itself when idle)
+//!  (blocks; woken      │ first byte = 0xFD? ──── framed protocol
+//!   at shutdown)       │        else ─────────── raw trace stream
 //!                      ▼
 //!              shard queue (`ClusterEngine::submit`, backpressure policy)
 //!                      ▼
-//!              shard worker tick ──▶ subscription channel ──▶ pusher thread
+//!              shard worker tick ──▶ pusher channel (+ End barriers) ──▶ pusher thread
 //!                                      (bounded push queue)    │
 //!                                    Prediction frames ◀───────┘
 //! ```
@@ -38,9 +38,9 @@
 //! * **Deadlines.** Sockets carry read/write timeouts
 //!   ([`ServerConfig::read_timeout`]/[`ServerConfig::write_timeout`]); a
 //!   client stalled *mid-frame* is evicted as soon as a read times out
-//!   (counted in [`ServerStats::evicted_stalled`]), while a client idle *at
-//!   a frame boundary* is allowed [`ServerConfig::idle_timeout`] before the
-//!   accept loop's sweep closes it ([`ServerStats::evicted_idle`]).
+//!   (counted in [`ServerStats::evicted_stalled`]), while a client that
+//!   completes no frame for [`ServerConfig::idle_timeout`] is evicted by its
+//!   own reader ([`ServerStats::evicted_idle`]).
 //! * **Slow subscribers.** Prediction pushes go through a bounded
 //!   per-connection queue ([`ServerConfig::push_queue`]); an overflow either
 //!   drops the oldest queued update or disconnects the subscriber, per
@@ -60,24 +60,25 @@
 //! closed with a positioned [`Frame::Error`] while every other connection —
 //! and the engine — keeps serving.
 //!
-//! Graceful shutdown reuses the drain-then-join path: the accept loop stops,
+//! Graceful shutdown reuses the drain-then-join path: the accept thread stops,
 //! every live socket is shut down (unblocking its reader), connection threads
 //! are joined, the shard queues are drained, and [`Server::wait`] returns the
 //! final [`ClusterStats`] — still satisfying the accounting invariant.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ftio_trace::source::{from_bytes_auto, DEFAULT_BATCH_SIZE};
+use ftio_trace::wire::MAX_FRAME_LEN;
 use ftio_trace::wire::{Frame, FrameReader, PredictionUpdate, WireStats, FRAME_MAGIC};
 use ftio_trace::AppId;
 
@@ -86,12 +87,7 @@ use crate::cluster::{
     PredictionEvent,
 };
 
-/// How often the accept loop polls for shutdown (and sweeps idle
-/// connections), and the pusher threads poll their subscription channels
-/// when idle.
-const POLL_INTERVAL: Duration = Duration::from_millis(20);
-
-/// Safety valve on the `End` barrier: if a pusher thread died, an `End`
+/// Safety valve on the `End` barrier: if a pusher thread is stuck, an `End`
 /// flush gives up waiting for it after this long instead of hanging the
 /// connection.
 const BARRIER_TIMEOUT: Duration = Duration::from_secs(10);
@@ -215,16 +211,17 @@ pub struct ServerConfig {
     /// Socket read timeout. This is the *stall deadline*: a read that times
     /// out mid-frame evicts the connection immediately; at a frame boundary
     /// it merely bounds how long the reader sleeps between liveness checks.
-    /// `None` disables socket read timeouts (stalled clients then hold
-    /// their handler thread until the idle sweep closes the socket).
+    /// Sockets use the shorter of this and [`ServerConfig::idle_timeout`]:
+    /// with `None` the idle deadline alone bounds every read, or nothing.
     pub read_timeout: Option<Duration>,
     /// Socket write timeout — bounds how long a wedged client can pin a
     /// handler or pusher thread inside a write.
     pub write_timeout: Option<Duration>,
     /// How long a connection may go without completing any frame (or, for
     /// raw connections, receiving any byte; for subscribers, being pushed
-    /// any prediction) before the accept loop's sweep evicts it. `None`
-    /// disables the sweep.
+    /// any prediction) before its own reader evicts it, at the first read
+    /// that returns after this long — at most one read deadline late.
+    /// `None` disables idle eviction.
     pub idle_timeout: Option<Duration>,
     /// Capacity of the bounded per-connection prediction push queue (values
     /// below 1 are clamped to 1).
@@ -276,7 +273,8 @@ impl ServerListener {
     }
 
     /// Binds a Unix-domain socket, replacing any stale socket file at the
-    /// path.
+    /// path. Shutdown wakes the accept thread through that path, so the file
+    /// must stay in place while the server runs.
     #[cfg(unix)]
     pub fn unix(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
@@ -297,29 +295,34 @@ impl ServerListener {
         }
     }
 
-    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+    /// Connects once to the listener's own address — over loopback when it
+    /// is bound to every interface — so that a blocked `accept` returns. A
+    /// Unix connect can only wait for backlog room, which `accept` frees.
+    fn waker(&self) -> io::Result<Box<dyn Fn() + Send + Sync>> {
         match self {
-            ServerListener::Tcp(l) => l.set_nonblocking(nonblocking),
+            ServerListener::Tcp(l) => {
+                let mut addr = l.local_addr()?;
+                match &mut addr {
+                    SocketAddr::V4(a) if a.ip().is_unspecified() => a.set_ip(Ipv4Addr::LOCALHOST),
+                    SocketAddr::V6(a) if a.ip().is_unspecified() => a.set_ip(Ipv6Addr::LOCALHOST),
+                    _ => {}
+                }
+                let wake = move || drop(TcpStream::connect_timeout(&addr, Duration::from_secs(1)));
+                Ok(Box::new(wake))
+            }
             #[cfg(unix)]
-            ServerListener::Unix(l, _) => l.set_nonblocking(nonblocking),
+            ServerListener::Unix(_, path) => {
+                let path = path.clone();
+                Ok(Box::new(move || drop(UnixStream::connect(&path))))
+            }
         }
     }
 
     fn accept(&self) -> io::Result<Stream> {
         match self {
-            ServerListener::Tcp(l) => {
-                let (stream, _) = l.accept()?;
-                // The listener is non-blocking (shutdown polling); the
-                // per-connection readers must block (modulo timeouts).
-                stream.set_nonblocking(false)?;
-                Ok(Stream::Tcp(stream))
-            }
+            ServerListener::Tcp(l) => l.accept().map(|(stream, _)| Stream::Tcp(stream)),
             #[cfg(unix)]
-            ServerListener::Unix(l, _) => {
-                let (stream, _) = l.accept()?;
-                stream.set_nonblocking(false)?;
-                Ok(Stream::Unix(stream))
-            }
+            ServerListener::Unix(l, _) => l.accept().map(|(stream, _)| Stream::Unix(stream)),
         }
     }
 }
@@ -418,8 +421,8 @@ pub struct ServerStats {
     pub raw_connections: u64,
     /// Connections being served right now.
     pub active: u64,
-    /// Connections evicted by the idle sweep (no progress for
-    /// [`ServerConfig::idle_timeout`]).
+    /// Connections that evicted themselves for making no progress for
+    /// [`ServerConfig::idle_timeout`].
     pub evicted_idle: u64,
     /// Connections evicted for stalling mid-frame (read timeout inside a
     /// partially received frame).
@@ -473,15 +476,15 @@ struct Counters {
     resumed_subscriptions: AtomicU64,
 }
 
-/// Liveness state of one connection, shared between its handler thread(s)
-/// and the accept loop's idle sweep.
+/// Liveness state of one connection, shared between its reader and its
+/// pusher thread.
 struct ConnMeta {
     /// Milliseconds (on the server's clock) of the last observed progress:
     /// a completed frame, a raw byte received, or a prediction pushed.
     last_activity_ms: AtomicU64,
-    /// Set by whichever side kills the connection first (sweep, slow-
-    /// subscriber disconnect), so the reader knows its failing socket was
-    /// an eviction, not a client protocol error.
+    /// Set by whichever side kills the connection first (idle eviction,
+    /// slow-subscriber disconnect), so the reader knows its failing socket
+    /// was an eviction, not a client protocol error.
     evicted: AtomicBool,
 }
 
@@ -502,11 +505,23 @@ impl ConnMeta {
     }
 }
 
-/// One live connection as the accept loop tracks it: a stream clone (for
-/// shutdown/eviction) plus the shared liveness state.
-struct ConnEntry {
+/// A connection's read half: every read that returns checks the idle
+/// deadline ([`Shared::evict_if_idle`]). An evicted connection reads as a
+/// timeout, and callers then see the eviction flag.
+struct ConnReader<'a> {
     stream: Stream,
-    meta: Arc<ConnMeta>,
+    shared: &'a Shared,
+    meta: &'a ConnMeta,
+}
+
+impl Read for ConnReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let read = self.stream.read(buf);
+        if self.shared.evict_if_idle(self.meta, &self.stream) {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        read
+    }
 }
 
 /// Runtime accounting of one tenant.
@@ -525,15 +540,17 @@ struct Shared {
     config: ServerConfig,
     running: AtomicBool,
     counters: Counters,
-    /// Every live connection's stream clone + liveness state, so shutdown
-    /// and the idle sweep can unblock readers parked on idle sockets.
-    conns: Mutex<HashMap<u64, ConnEntry>>,
+    /// Every live connection's stream clone, so shutdown can unblock readers
+    /// parked on idle sockets.
+    conns: Mutex<HashMap<u64, Stream>>,
     /// `AppId` → hello name, so reports stay human-readable.
     names: Mutex<HashMap<AppId, String>>,
     /// Tenant accounting (admissions and token buckets).
     tenants: Mutex<HashMap<String, TenantState>>,
     /// The server's clock origin for `ConnMeta` millisecond stamps.
     epoch: Instant,
+    /// Wakes the accept thread at shutdown ([`ServerListener::waker`]).
+    wake: Box<dyn Fn() + Send + Sync>,
 }
 
 impl Shared {
@@ -541,7 +558,7 @@ impl Shared {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Stops the daemon: the accept loop exits on its next poll, and every
+    /// Stops the daemon: the accept thread is woken and exits, and every
     /// live connection's socket is shut down so its reader unblocks, finishes
     /// the work it already accepted, and exits. Idempotent.
     fn initiate_shutdown(&self) {
@@ -555,33 +572,29 @@ impl Shared {
     /// shard queues topped up and the drain never converges.
     fn initiate_shutdown_except(&self, spare: Option<u64>) {
         if self.running.swap(false, Ordering::SeqCst) {
-            for (id, entry) in lock_recover(&self.conns).iter() {
+            for (id, stream) in lock_recover(&self.conns).iter() {
                 if Some(*id) != spare {
-                    entry.stream.close();
+                    stream.close();
                 }
             }
+            (self.wake)();
         }
     }
 
-    /// Closes every connection that has made no progress for
-    /// [`ServerConfig::idle_timeout`]. Runs on the accept thread each poll;
-    /// the handler thread observes the closed socket, sees the eviction
-    /// flag, and exits without charging a protocol error.
-    fn sweep_idle(&self) {
-        let Some(idle) = self.config.idle_timeout else {
-            return;
-        };
-        let idle_ms = idle.as_millis() as u64;
-        let now = self.now_ms();
-        for entry in lock_recover(&self.conns).values() {
-            let last = entry.meta.last_activity_ms.load(Ordering::Acquire);
-            if now.saturating_sub(last) > idle_ms
-                && !entry.meta.evicted.swap(true, Ordering::SeqCst)
+    /// Evicts a connection that has made no progress for
+    /// [`ServerConfig::idle_timeout`]: counts it, flags it, and shuts its
+    /// socket down (unblocking its pusher). True once it is evicted.
+    fn evict_if_idle(&self, meta: &ConnMeta, stream: &Stream) -> bool {
+        if let Some(idle) = self.config.idle_timeout {
+            let last = meta.last_activity_ms.load(Ordering::Acquire);
+            if self.now_ms().saturating_sub(last) >= idle.as_millis() as u64
+                && !meta.evicted.swap(true, Ordering::SeqCst)
             {
                 self.counters.evicted_idle.fetch_add(1, Ordering::Relaxed);
-                entry.stream.close();
+                stream.close();
             }
         }
+        meta.evicted()
     }
 
     /// Atomically checks and reserves a tenant connection slot (and the
@@ -727,9 +740,9 @@ pub struct Server {
 impl Server {
     /// Binds the accept loop to `listener` and starts serving.
     pub fn start(listener: ServerListener, config: ServerConfig) -> io::Result<Server> {
-        listener.set_nonblocking(true)?;
         let address = listener.address();
         let shared = Arc::new(Shared {
+            wake: listener.waker()?,
             engine: ClusterEngine::spawn(config.cluster),
             config,
             running: AtomicBool::new(true),
@@ -820,66 +833,67 @@ impl Drop for Server {
 }
 
 fn accept_loop(listener: ServerListener, shared: Arc<Shared>) {
+    // Readers never sleep past the idle deadline, which they enforce.
+    let deadlines = [shared.config.read_timeout, shared.config.idle_timeout];
+    let read_deadline = deadlines.into_iter().flatten().min();
     let mut next_id = 0u64;
     let mut handles: Vec<JoinHandle<()>> = Vec::new();
-    while shared.running.load(Ordering::SeqCst) {
-        shared.sweep_idle();
-        match listener.accept() {
-            Ok(stream) => {
-                next_id += 1;
-                let id = next_id;
-                // Admission control. Only this thread increments `active`, so
-                // the load-then-add pair cannot overshoot the limit.
-                let active = shared.counters.active.load(Ordering::SeqCst);
-                if active >= shared.config.max_connections as u64 {
-                    shared
-                        .counters
-                        .rejected_connections
-                        .fetch_add(1, Ordering::Relaxed);
-                    let mut stream = stream;
-                    let _ = stream.set_timeouts(None, shared.config.write_timeout);
-                    let _ = Frame::Error {
-                        message: format!(
-                            "connection limit reached ({} active)",
-                            shared.config.max_connections
-                        ),
-                        retry_after_ms: Some(shared.config.retry_after.as_millis() as u64),
-                    }
-                    .write_to(&mut stream);
-                    continue; // dropped → closed
-                }
-                // Socket deadlines from the first byte onwards.
-                if stream
-                    .set_timeouts(shared.config.read_timeout, shared.config.write_timeout)
-                    .is_err()
-                {
-                    continue;
-                }
-                shared.counters.active.fetch_add(1, Ordering::SeqCst);
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let meta = Arc::new(ConnMeta::new(shared.now_ms()));
-                if let Ok(clone) = stream.try_clone() {
-                    lock_recover(&shared.conns).insert(
-                        id,
-                        ConnEntry {
-                            stream: clone,
-                            meta: meta.clone(),
-                        },
-                    );
-                }
-                let conn_shared = shared.clone();
-                handles.push(std::thread::spawn(move || {
-                    handle_connection(&conn_shared, stream, id, &meta);
-                    lock_recover(&conn_shared.conns).remove(&id);
-                    conn_shared.counters.active.fetch_sub(1, Ordering::SeqCst);
-                }));
-                // Reap finished threads so a long-lived daemon doesn't
-                // accumulate handles (dropping a finished handle is free).
-                handles.retain(|h| !h.is_finished());
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL_INTERVAL),
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
+    loop {
+        let accepted = listener.accept();
+        // Shutdown wakes this thread by connecting to the listener; whatever
+        // was accepted then is neither counted nor served.
+        if !shared.running.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(stream) = accepted else {
+            // Out of descriptors, say: back off rather than spin.
+            std::thread::sleep(Duration::from_millis(10));
+            continue;
+        };
+        next_id += 1;
+        let id = next_id;
+        // Admission control. Only this thread increments `active`, so the
+        // load-then-add pair cannot overshoot the limit.
+        let active = shared.counters.active.load(Ordering::SeqCst);
+        if active >= shared.config.max_connections as u64 {
+            shared
+                .counters
+                .rejected_connections
+                .fetch_add(1, Ordering::Relaxed);
+            let mut stream = stream;
+            let _ = stream.set_timeouts(None, shared.config.write_timeout);
+            let _ = Frame::Error {
+                message: format!(
+                    "connection limit reached ({} active)",
+                    shared.config.max_connections
+                ),
+                retry_after_ms: Some(shared.config.retry_after.as_millis() as u64),
+            }
+            .write_to(&mut stream);
+            continue; // dropped → closed
+        }
+        // Socket deadlines from the first byte onwards.
+        if stream
+            .set_timeouts(read_deadline, shared.config.write_timeout)
+            .is_err()
+        {
+            continue;
+        }
+        shared.counters.active.fetch_add(1, Ordering::SeqCst);
+        shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        if let Ok(clone) = stream.try_clone() {
+            lock_recover(&shared.conns).insert(id, clone);
+        }
+        let meta = Arc::new(ConnMeta::new(shared.now_ms()));
+        let conn_shared = shared.clone();
+        handles.push(std::thread::spawn(move || {
+            handle_connection(&conn_shared, stream, id, &meta);
+            lock_recover(&conn_shared.conns).remove(&id);
+            conn_shared.counters.active.fetch_sub(1, Ordering::SeqCst);
+        }));
+        // Reap finished threads so a long-lived daemon doesn't accumulate
+        // handles (dropping a finished handle is free).
+        handles.retain(|h| !h.is_finished());
     }
     for handle in handles {
         let _ = handle.join();
@@ -893,15 +907,20 @@ fn accept_loop(listener: ServerListener, shared: Arc<Shared>) {
 /// Routes one accepted connection: the first byte decides framed (wire
 /// envelope, leads with [`FRAME_MAGIC`]) vs raw (anything sniffable — JSONL,
 /// msgpack, gzip, …; no trace format starts with `0xFD`).
-fn handle_connection(shared: &Arc<Shared>, mut stream: Stream, id: u64, meta: &Arc<ConnMeta>) {
+fn handle_connection(shared: &Arc<Shared>, stream: Stream, id: u64, meta: &Arc<ConnMeta>) {
+    let mut reader = ConnReader {
+        stream,
+        shared,
+        meta,
+    };
     let mut first = [0u8; 1];
     loop {
-        match stream.read(&mut first) {
+        match reader.read(&mut first) {
             Ok(0) => return, // connected and closed without a byte
             Ok(_) => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if is_timeout_kind(e.kind()) => {
-                // No first byte yet: idle. The sweep owns the deadline.
+                // No first byte yet: idle until the reader evicts it.
                 if meta.evicted() || !shared.running.load(Ordering::SeqCst) {
                     return;
                 }
@@ -911,13 +930,13 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: Stream, id: u64, meta: &A
         }
     }
     meta.touch(shared.now_ms());
-    let Ok(writer) = stream.try_clone() else {
+    let Ok(writer) = reader.stream.try_clone() else {
         return;
     };
     if first[0] == FRAME_MAGIC[0] {
-        framed_connection(shared, stream, writer, first[0], id, meta);
+        framed_connection(shared, reader, writer, first[0], id, meta);
     } else {
-        raw_connection(shared, stream, writer, first[0], id, meta);
+        raw_connection(shared, reader, writer, first[0], id, meta);
     }
 }
 
@@ -942,7 +961,7 @@ fn send_frame(writer: &Mutex<Stream>, frame: &Frame) -> bool {
 
 fn framed_connection(
     shared: &Arc<Shared>,
-    read_half: Stream,
+    read_half: ConnReader<'_>,
     write_half: Stream,
     first_byte: u8,
     id: u64,
@@ -964,11 +983,11 @@ fn framed_connection(
             Ok(None) => break, // clean close at a frame boundary
             Err(e) if e.io_kind().is_some_and(is_timeout_kind) => {
                 if meta.evicted() || !shared.running.load(Ordering::SeqCst) {
-                    break; // swept or shutting down
+                    break; // evicted or shutting down
                 }
                 if frames.offset() == boundary {
-                    // Idle between frames: legal. The sweep enforces the
-                    // idle deadline; we just keep listening.
+                    // Idle between frames: legal until the idle deadline,
+                    // which the reader enforces; we just keep listening.
                     continue;
                 }
                 // Stalled mid-frame: the client started a frame and stopped
@@ -1157,11 +1176,9 @@ fn framed_connection(
                 // Stop the world first: close every other connection so no
                 // new submissions arrive, *then* drain. Draining before the
                 // stop livelocks under active ingest — feeders refill the
-                // shard queues as fast as the flush empties them — and also
-                // leaves this connection exposed to the idle sweep (the
-                // sweep runs on the accept loop, which exits once `running`
-                // flips). The Stats reply then reports a fully drained
-                // engine on the one socket that was spared.
+                // shard queues as fast as the flush empties them. The Stats
+                // reply then reports a fully drained engine on the one
+                // socket that was spared.
                 shared.initiate_shutdown_except(Some(id));
                 // Let the evicted peers wind down before draining: a peer
                 // that had already read a frame may still be submitting it,
@@ -1195,9 +1212,6 @@ fn framed_connection(
             }
         }
     }
-    if let Some(pusher) = pusher {
-        pusher.stop();
-    }
     if let Some(tenant) = tenant {
         shared.tenant_release(&tenant);
     }
@@ -1206,10 +1220,12 @@ fn framed_connection(
 /// A raw connection: slurp to EOF (the client signals completion by closing
 /// its write half, `nc` style), sniff, replay, answer with one summary line.
 /// Reads go through the socket deadline; a connection that stops sending is
-/// closed by the idle sweep and its partial stream is discarded.
+/// evicted once idle and its partial stream is discarded. A stream longer
+/// than [`MAX_FRAME_LEN`] — the cap a framed client's `Data` frame has — is
+/// refused with an error line and closed.
 fn raw_connection(
     shared: &Arc<Shared>,
-    mut read_half: Stream,
+    mut read_half: ConnReader<'_>,
     mut write_half: Stream,
     first_byte: u8,
     id: u64,
@@ -1227,13 +1243,27 @@ fn raw_connection(
             Ok(n) => {
                 bytes.extend_from_slice(&buf[..n]);
                 meta.touch(shared.now_ms());
+                if bytes.len() > MAX_FRAME_LEN {
+                    shared
+                        .counters
+                        .protocol_errors
+                        .fetch_add(1, Ordering::Relaxed);
+                    let _ = write_half.write_all(
+                        format!(
+                            "# ftio error: connection {id}: raw stream exceeds the \
+                             {MAX_FRAME_LEN}-byte cap\n"
+                        )
+                        .as_bytes(),
+                    );
+                    return;
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) if is_timeout_kind(e.kind()) => {
                 if meta.evicted() || !shared.running.load(Ordering::SeqCst) {
-                    return; // swept while idle: discard the partial stream
+                    return; // evicted while idle: discard the partial stream
                 }
-                continue; // the sweep owns the idle deadline
+                continue; // the reader owns the idle deadline
             }
             Err(_) => {
                 shared
@@ -1284,21 +1314,31 @@ fn raw_connection(
 }
 
 /// The per-connection subscription pusher: forwards [`PredictionEvent`]s from
-/// the engine's channel to the client as [`Frame::Prediction`]s, and answers
-/// flush barriers so `End` can guarantee every prediction for already-sent
-/// data is on the wire before the `Ack`.
+/// the engine to the client as [`Frame::Prediction`]s, and answers flush
+/// barriers so `End` can guarantee every prediction for already-sent data is
+/// on the wire before the `Ack`.
 ///
-/// Between the engine's unbounded channel and the socket sits a *bounded*
-/// queue of [`ServerConfig::push_queue`] events: a subscriber that reads
-/// slower than its feed either loses the oldest queued updates
-/// ([`SlowSubscriberPolicy::DropOldest`]) or is disconnected
+/// Its thread blocks on one channel that carries, in order, the engine's
+/// events, `End` barriers and the stop message. Between that channel and the
+/// socket sits a *bounded* queue of [`ServerConfig::push_queue`] events: a
+/// subscriber that reads slower than its feed either loses the oldest queued
+/// updates ([`SlowSubscriberPolicy::DropOldest`]) or is disconnected
 /// ([`SlowSubscriberPolicy::Disconnect`]) — it can never grow server memory
-/// without bound or wedge a shard worker.
+/// without bound or wedge a shard worker. Dropping the handle stops and
+/// joins the thread, which unsubscribes on its way out.
 struct Pusher {
-    handle: JoinHandle<()>,
-    /// `(requested, completed)` barrier sequence numbers.
-    barrier: Arc<(Mutex<(u64, u64)>, Condvar)>,
-    open: Arc<AtomicBool>,
+    tx: mpsc::Sender<PushMsg>,
+    handle: Option<JoinHandle<()>>,
+}
+
+/// What a pusher thread receives. The event is boxed: it is many times the
+/// size of the other messages.
+enum PushMsg {
+    Event(Box<PredictionEvent>),
+    /// Dropped, which releases its waiter, once every event received before
+    /// it is written.
+    Barrier(mpsc::Sender<()>),
+    Stop,
 }
 
 impl Pusher {
@@ -1309,104 +1349,102 @@ impl Pusher {
         from_seq: Option<u64>,
         meta: Arc<ConnMeta>,
     ) -> Pusher {
-        let rx = shared.engine.subscribe_from(filter, from_seq);
-        let barrier = Arc::new((Mutex::new((0u64, 0u64)), Condvar::new()));
-        let open = Arc::new(AtomicBool::new(true));
+        let (tx, rx) = mpsc::channel();
+        let events = tx.clone();
+        let subscription = shared.engine.register(
+            filter,
+            from_seq,
+            Box::new(move |event| events.send(PushMsg::Event(Box::new(event))).is_ok()),
+        );
         let shared = shared.clone();
-        let thread_barrier = barrier.clone();
-        let thread_open = open.clone();
         let handle = std::thread::spawn(move || {
-            pusher_loop(&shared, rx, &writer, &thread_barrier, &thread_open, &meta);
+            pusher_loop(&shared, &rx, &writer, &meta);
+            shared.engine.unsubscribe(subscription);
         });
         Pusher {
-            handle,
-            barrier,
-            open,
+            tx,
+            handle: Some(handle),
         }
     }
 
-    /// Blocks until every event already in the subscription channel has been
-    /// written to the client. Call after [`ClusterEngine::flush`], which
-    /// guarantees all ticks for prior submissions have been published.
+    /// Blocks until every event already sent to the pusher is written to the
+    /// client. Call after [`ClusterEngine::flush`], which guarantees all
+    /// ticks for prior submissions have been published.
     fn barrier(&self) {
-        let (lock, condvar) = &*self.barrier;
-        let mut state = lock_recover(lock);
-        state.0 += 1;
-        let target = state.0;
-        let deadline = std::time::Instant::now() + BARRIER_TIMEOUT;
-        while state.1 < target {
-            let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-            if remaining.is_zero() {
-                break; // pusher died; don't hang the connection
-            }
-            let (next, _) = condvar
-                .wait_timeout(state, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = next;
+        let (ack, acked) = mpsc::channel();
+        if self.tx.send(PushMsg::Barrier(ack)).is_ok() {
+            let _ = acked.recv_timeout(BARRIER_TIMEOUT);
         }
     }
+}
 
-    /// Signals the pusher to exit and joins it.
-    fn stop(self) {
-        self.open.store(false, Ordering::SeqCst);
-        let _ = self.handle.join();
+impl Drop for Pusher {
+    fn drop(&mut self) {
+        let _ = self.tx.send(PushMsg::Stop);
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
     }
 }
 
 fn pusher_loop(
     shared: &Shared,
-    rx: mpsc::Receiver<PredictionEvent>,
+    rx: &mpsc::Receiver<PushMsg>,
     writer: &Mutex<Stream>,
-    barrier: &(Mutex<(u64, u64)>, Condvar),
-    open: &AtomicBool,
     meta: &ConnMeta,
 ) {
     let capacity = shared.config.push_queue.max(1);
     let policy = shared.config.slow_policy;
     let mut queue: VecDeque<PredictionEvent> = VecDeque::with_capacity(capacity.min(64));
-    let mut channel_alive = true;
+    let mut barriers = Vec::new();
     'conn: loop {
-        // Move everything currently in the unbounded channel into the
-        // bounded queue, applying the slow-subscriber policy on overflow.
-        loop {
-            match rx.try_recv() {
-                Ok(event) => {
-                    if queue.len() >= capacity {
-                        match policy {
-                            SlowSubscriberPolicy::DropOldest => {
-                                queue.pop_front();
-                                shared.counters.push_dropped.fetch_add(1, Ordering::Relaxed);
-                            }
-                            SlowSubscriberPolicy::Disconnect => {
-                                shared
-                                    .counters
-                                    .slow_disconnects
-                                    .fetch_add(1, Ordering::Relaxed);
-                                meta.evicted.store(true, Ordering::SeqCst);
-                                let guard = lock_recover(writer);
-                                let _ = Frame::Error {
-                                    message: format!(
-                                        "slow subscriber: push queue overflow at {capacity} \
-                                         queued predictions"
-                                    ),
-                                    retry_after_ms: None,
-                                }
-                                .write_to(&mut *{ guard });
-                                // Shut the socket down so the reader side
-                                // unblocks and the connection dies whole.
-                                lock_recover(writer).close();
-                                break 'conn;
-                            }
-                        }
-                    }
-                    queue.push_back(event);
+        // Block only when there is nothing to write.
+        let blocked = if queue.is_empty() {
+            let Ok(message) = rx.recv() else { break };
+            Some(message)
+        } else {
+            None
+        };
+        // Move everything received into the bounded queue, applying the
+        // slow-subscriber policy on overflow.
+        for message in blocked.into_iter().chain(rx.try_iter()) {
+            let event = match message {
+                PushMsg::Event(event) => event,
+                PushMsg::Barrier(ack) => {
+                    barriers.push(ack);
+                    continue;
                 }
-                Err(mpsc::TryRecvError::Empty) => break,
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    channel_alive = false;
-                    break;
+                PushMsg::Stop => break 'conn,
+            };
+            if queue.len() >= capacity {
+                match policy {
+                    SlowSubscriberPolicy::DropOldest => {
+                        queue.pop_front();
+                        shared.counters.push_dropped.fetch_add(1, Ordering::Relaxed);
+                    }
+                    SlowSubscriberPolicy::Disconnect => {
+                        shared
+                            .counters
+                            .slow_disconnects
+                            .fetch_add(1, Ordering::Relaxed);
+                        meta.evicted.store(true, Ordering::SeqCst);
+                        let guard = lock_recover(writer);
+                        let _ = Frame::Error {
+                            message: format!(
+                                "slow subscriber: push queue overflow at {capacity} \
+                                 queued predictions"
+                            ),
+                            retry_after_ms: None,
+                        }
+                        .write_to(&mut *{ guard });
+                        // Shut the socket down so the reader side unblocks
+                        // and the connection dies whole.
+                        lock_recover(writer).close();
+                        break 'conn;
+                    }
                 }
             }
+            queue.push_back(*event);
         }
         // Write one queued event per pass, so draining the channel and
         // writing interleave and the queue bound is honest.
@@ -1419,10 +1457,7 @@ fn pusher_loop(
                 confidence: event.prediction.confidence(),
             };
             match Frame::Prediction(update).write_to(&mut *lock_recover(writer)) {
-                Ok(()) => {
-                    meta.touch(shared.now_ms());
-                    continue;
-                }
+                Ok(()) => meta.touch(shared.now_ms()),
                 Err(e) if is_timeout_kind(e.kind()) => {
                     // The write deadline expired with the frame half on the
                     // wire: the subscriber is alive but not reading. The
@@ -1439,32 +1474,10 @@ fn pusher_loop(
                 Err(_) => break, // client gone
             }
         }
-        // Channel and queue are both empty: complete any pending flush
-        // barrier — the barrier is only requested after `flush()`, so
-        // emptiness here means everything the client waits for is written.
-        {
-            let (lock, condvar) = barrier;
-            let mut state = lock_recover(lock);
-            if state.1 < state.0 {
-                state.1 = state.0;
-                condvar.notify_all();
-            }
-        }
-        if !channel_alive || !open.load(Ordering::SeqCst) || !shared.running.load(Ordering::SeqCst)
-        {
-            break;
-        }
-        match rx.recv_timeout(POLL_INTERVAL) {
-            Ok(event) => queue.push_back(event), // empty queue; capacity ≥ 1
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => channel_alive = false,
+        if queue.is_empty() {
+            barriers.clear(); // everything received before them is written
         }
     }
-    // Release any waiter unconditionally on the way out.
-    let (lock, condvar) = barrier;
-    let mut state = lock_recover(lock);
-    state.1 = state.0;
-    condvar.notify_all();
 }
 
 #[cfg(test)]
@@ -1585,6 +1598,40 @@ mod tests {
         assert_eq!(report.predictions[&AppId::from_name("app-a")].len(), 2);
     }
 
+    /// A connection that subscribes to its own application and closes leaves
+    /// no subscription in the engine, although that application never
+    /// publishes again to reveal the dead receiver.
+    #[test]
+    fn closed_subscribed_sessions_leave_no_subscriptions() {
+        let server =
+            Server::start(ServerListener::tcp("127.0.0.1:0").unwrap(), test_config(1)).unwrap();
+        for session in 0..5 {
+            let name = format!("once-{session}");
+            let mut client = TcpStream::connect(server.address()).unwrap();
+            for frame in [
+                Frame::Hello { name: name.clone() },
+                Frame::Subscribe {
+                    app: Some(AppId::from_name(&name)),
+                    from_seq: None,
+                },
+                Frame::Data(periodic_jsonl(10.0, 4)),
+                Frame::End,
+            ] {
+                frame.write_to(&mut client).unwrap();
+            }
+            let mut frames = FrameReader::new(client);
+            while frames.read_frame().unwrap() != Some(Frame::Ack) {}
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.server_stats().active > 0 {
+            assert!(Instant::now() < deadline, "connections never closed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(server.shared.engine.subscriber_count(), 0);
+        let report = server.finish();
+        assert_eq!(report.cluster.ticks, 5);
+    }
+
     #[cfg(unix)]
     #[test]
     fn raw_unix_connection_gets_a_summary_line() {
@@ -1662,6 +1709,7 @@ mod tests {
             names: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
             epoch: Instant::now(),
+            wake: Box::new(|| {}),
         };
         let app_a = AppId::from_name("acme/a");
         let app_b = AppId::from_name("acme/b");
@@ -1705,6 +1753,7 @@ mod tests {
             names: Mutex::new(HashMap::new()),
             tenants: Mutex::new(HashMap::new()),
             epoch: Instant::now(),
+            wake: Box::new(|| {}),
         };
         let app = AppId::from_name("metered/app");
         assert_eq!(shared.tenant_admit("metered", app), Ok(true));

@@ -28,6 +28,7 @@
 //! errors carry a position — the serving layer closes *that* connection with
 //! the positioned error and keeps serving the rest.
 
+use std::borrow::Cow;
 use std::io::{Read, Write};
 
 use crate::app_id::AppId;
@@ -176,11 +177,12 @@ impl Frame {
         }
     }
 
-    fn payload(&self) -> Vec<u8> {
+    /// The payload bytes; a `Data` frame's are borrowed, not copied.
+    fn payload(&self) -> Cow<'_, [u8]> {
         let mut out = Vec::new();
         match self {
             Frame::Hello { name } => msgpack::write_str(&mut out, name),
-            Frame::Data(bytes) => out.extend_from_slice(bytes),
+            Frame::Data(bytes) => return Cow::Borrowed(bytes),
             Frame::Subscribe { app, from_seq } => {
                 // [has_app, app, has_from_seq, from_seq]; decode also accepts
                 // the 0-/1-entry forms emitted before resume existed.
@@ -233,23 +235,41 @@ impl Frame {
                 msgpack::write_uint(&mut out, retry_after_ms.unwrap_or(0));
             }
         }
-        out
+        Cow::Owned(out)
     }
 
-    /// Serialises the frame (magic + kind + length + payload).
+    /// Serialises the frame (magic + kind + length + payload). A payload
+    /// over [`MAX_FRAME_LEN`] yields bytes no [`FrameReader`] accepts;
+    /// [`Frame::write_to`] refuses to send those.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
+        self.encode_payload(&self.payload())
+    }
+
+    fn encode_payload(&self, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::with_capacity(7 + payload.len());
         out.extend_from_slice(&FRAME_MAGIC);
         out.push(self.kind());
         out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(payload);
         out
     }
 
-    /// Writes the encoded frame to `w` (one `write_all`, no flush).
+    /// Writes the encoded frame to `w` (one `write_all`, no flush). A
+    /// payload over [`MAX_FRAME_LEN`] is an
+    /// [`InvalidInput`](std::io::ErrorKind::InvalidInput) error, and
+    /// nothing is written.
     pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(&self.encode())
+        let payload = self.payload();
+        if payload.len() > MAX_FRAME_LEN {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "frame payload of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
+                    payload.len()
+                ),
+            ));
+        }
+        w.write_all(&self.encode_payload(&payload))
     }
 
     fn decode(kind: u8, payload: Vec<u8>, offset: u64) -> TraceResult<Frame> {
@@ -584,6 +604,19 @@ mod tests {
         let mut reader = FrameReader::new(&huge[..]);
         let err = reader.read_frame().expect_err("oversized frame");
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    /// The writer holds the cap the reader enforces: a frame no reader
+    /// would accept is refused before a byte of it is written.
+    #[test]
+    fn oversized_frames_are_refused_before_writing() {
+        let mut buf = Vec::new();
+        let err = Frame::Data(vec![0; MAX_FRAME_LEN + 1])
+            .write_to(&mut buf)
+            .expect_err("oversized frame");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("exceeds"), "{err}");
+        assert!(buf.is_empty(), "{} bytes written", buf.len());
     }
 
     #[test]

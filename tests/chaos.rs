@@ -5,7 +5,10 @@
 //!
 //! * **Deadlines** — a client stalled mid-frame is evicted within the read
 //!   deadline while concurrent healthy clients are served to completion; a
-//!   connection idle past the idle deadline is swept.
+//!   connection idle past the idle deadline evicts itself, with or without a
+//!   read timeout, even while trickling bytes, but not while it is being
+//!   pushed predictions; a daemon on the wildcard address shuts down
+//!   promptly.
 //! * **Resumable subscriptions** — a subscriber that reconnects with
 //!   `Subscribe{from_seq}` receives exactly the predictions it missed (no
 //!   gaps, no duplicates), end to end.
@@ -253,8 +256,8 @@ fn stalled_mid_frame_client_is_evicted_while_others_are_served() {
     assert_balanced(&report.cluster);
 }
 
-/// A connection that completes no frame for the idle deadline is swept by
-/// the accept loop, without being charged as a protocol error.
+/// A connection that completes no frame for the idle deadline is evicted by
+/// its own reader, without being charged as a protocol error.
 #[test]
 fn idle_connection_is_swept_after_the_idle_deadline() {
     let config = ServerConfig {
@@ -293,6 +296,175 @@ fn idle_connection_is_swept_after_the_idle_deadline() {
     let report = server.finish();
     assert_eq!(report.server.evicted_idle, 1);
     assert_eq!(report.server.protocol_errors, 0, "idle is not an offence");
+    assert_balanced(&report.cluster);
+}
+
+/// Without a read timeout the idle deadline alone bounds each read, so an
+/// idle connection is still woken and evicted as idle.
+#[test]
+fn idle_connection_is_evicted_without_a_read_timeout() {
+    let config = ServerConfig {
+        read_timeout: None,
+        idle_timeout: Some(Duration::from_millis(200)),
+        ..chaos_config()
+    };
+    let server = Server::start(ServerListener::tcp("127.0.0.1:0").unwrap(), config).unwrap();
+    let mut idler = TcpStream::connect(server.address()).unwrap();
+    // A client deadline turns a daemon that never evicts into a failed
+    // timing assertion instead of a hang.
+    idler
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    Frame::Hello {
+        name: "idler".into(),
+    }
+    .write_to(&mut idler)
+    .unwrap();
+    let mut reader = FrameReader::new(&idler);
+    assert!(matches!(
+        reader.read_frame().unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+    let idle_since = Instant::now();
+    if let Ok(Some(frame)) = reader.read_frame() {
+        panic!("expected the eviction to close the socket, got {frame:?}");
+    }
+    assert!(
+        idle_since.elapsed() < Duration::from_secs(5),
+        "eviction took {:?}",
+        idle_since.elapsed()
+    );
+    poll_until(Duration::from_secs(5), "idle eviction counted", || {
+        server.server_stats().evicted_idle == 1
+    });
+    let report = server.finish();
+    assert_eq!(report.server.evicted_stalled, 0);
+    assert_eq!(report.server.protocol_errors, 0);
+}
+
+/// A client that trickles a frame one byte at a time, each byte well inside
+/// the read deadline, never times out a read. Having completed no frame for
+/// the idle deadline, it is evicted as idle all the same.
+#[test]
+fn trickling_client_is_evicted_once_idle() {
+    let config = ServerConfig {
+        read_timeout: Some(Duration::from_millis(200)),
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..chaos_config()
+    };
+    let server = Server::start(ServerListener::tcp("127.0.0.1:0").unwrap(), config).unwrap();
+    let mut trickler = TcpStream::connect(server.address()).unwrap();
+    let started = Instant::now();
+    for byte in Frame::Data(periodic_jsonl(10.0, 12)).encode() {
+        if server.server_stats().evicted_idle == 1 || trickler.write_all(&[byte]).is_err() {
+            break;
+        }
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a trickling client outlived a 300 ms idle deadline"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    poll_until(Duration::from_secs(5), "idle eviction counted", || {
+        server.server_stats().evicted_idle == 1
+    });
+    let report = server.finish();
+    assert_eq!(report.server.evicted_stalled, 0);
+    assert_eq!(report.server.protocol_errors, 0);
+}
+
+/// A subscriber that sends nothing but is pushed a prediction every 100 ms
+/// makes progress: it outlives an idle deadline of 300 ms, and is evicted
+/// as idle once the pushes stop.
+#[test]
+fn subscriber_fed_by_pushes_is_not_idle_until_they_stop() {
+    let config = ServerConfig {
+        idle_timeout: Some(Duration::from_millis(300)),
+        ..chaos_config()
+    };
+    let server = Server::start(ServerListener::tcp("127.0.0.1:0").unwrap(), config).unwrap();
+    let mut feeder = TcpStream::connect(server.address()).unwrap();
+    Frame::Hello { name: "fed".into() }
+        .write_to(&mut feeder)
+        .unwrap();
+    // Read the Welcome: closing on unread bytes would reset the connection.
+    assert!(matches!(
+        FrameReader::new(&feeder).read_frame().unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+
+    let mut watcher = TcpStream::connect(server.address()).unwrap();
+    watcher
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    Frame::Hello {
+        name: "watcher".into(),
+    }
+    .write_to(&mut watcher)
+    .unwrap();
+    Frame::Subscribe {
+        app: Some(AppId::from_name("fed")),
+        from_seq: None,
+    }
+    .write_to(&mut watcher)
+    .unwrap();
+    // The Ack of an `End` sent after the Subscribe proves the subscription
+    // is registered before the first push is published.
+    Frame::End.write_to(&mut watcher).unwrap();
+    let mut pushes = FrameReader::new(&watcher);
+    assert!(matches!(
+        pushes.read_frame().unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+    assert_eq!(pushes.read_frame().unwrap(), Some(Frame::Ack));
+    // One push every 100 ms for 1.2 s: four idle deadlines of silence from
+    // the watcher itself.
+    for i in 0..12 {
+        Frame::Data(burst_jsonl(10.0, i))
+            .write_to(&mut feeder)
+            .unwrap();
+        match pushes.read_frame().unwrap() {
+            Some(Frame::Prediction(update)) => assert_eq!(update.seq, i as u64),
+            other => panic!("expected push {i}, got {other:?}"),
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    drop(feeder); // a clean close, not an eviction
+    assert_eq!(server.server_stats().evicted_idle, 0);
+
+    let quiet_since = Instant::now();
+    if let Ok(Some(frame)) = pushes.read_frame() {
+        panic!("expected the eviction to close the socket, got {frame:?}");
+    }
+    assert!(
+        quiet_since.elapsed() < Duration::from_secs(5),
+        "eviction took {:?}",
+        quiet_since.elapsed()
+    );
+    poll_until(Duration::from_secs(5), "idle eviction counted", || {
+        server.server_stats().evicted_idle == 1
+    });
+    let report = server.finish();
+    assert_eq!(report.server.protocol_errors, 0);
+    assert_balanced(&report.cluster);
+}
+
+/// A daemon bound to the wildcard address is woken over loopback at
+/// shutdown, and the wake-up connection is neither counted nor served.
+#[test]
+fn wildcard_tcp_daemon_shuts_down_promptly() {
+    let server = Server::start(ServerListener::tcp("0.0.0.0:0").unwrap(), chaos_config()).unwrap();
+    let port = server.address().rsplit(':').next().unwrap().to_string();
+    let predictions = framed_session(
+        TcpStream::connect(format!("127.0.0.1:{port}")).unwrap(),
+        "wildcard",
+        &periodic_jsonl(10.0, 12),
+        2,
+    );
+    assert_eq!(predictions.len(), 2);
+    server.shutdown();
+    let report = wait_with_deadline(server, Duration::from_secs(5));
+    assert_eq!(report.server.accepted, 1);
     assert_balanced(&report.cluster);
 }
 

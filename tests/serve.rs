@@ -7,7 +7,9 @@
 //!   shutdown drains the shard queues with the accounting invariant intact.
 //! * **Raw ingestion** — a plain `nc`-style connection (bytes, close) is
 //!   sniffed, replayed, and answered with a summary line; gzipped bytes are
-//!   decompressed transparently.
+//!   decompressed transparently; a stream over the frame cap is refused.
+//! * **Flush barriers** — `End` on a subscribed connection is acked after
+//!   the predictions it covers, and at once when there are none.
 //! * **Fault isolation at the network edge** — a malformed frame, a
 //!   disconnect mid-frame, or a connection over the admission limit affects
 //!   only the offending connection; every other client keeps being served
@@ -21,7 +23,7 @@ use std::path::PathBuf;
 
 use ftio_core::server::{Server, ServerConfig, ServerListener, ServerReport};
 use ftio_core::{ClusterConfig, ClusterStats, FtioConfig};
-use ftio_trace::wire::{Frame, FrameReader, FRAME_MAGIC};
+use ftio_trace::wire::{Frame, FrameReader, FRAME_MAGIC, MAX_FRAME_LEN};
 use ftio_trace::{jsonl, AppId, IoRequest};
 
 fn test_config(shards: usize, max_connections: usize) -> ServerConfig {
@@ -227,6 +229,97 @@ fn gzipped_raw_connection_is_decompressed() {
     server.shutdown();
     let report = finish_and_check(server);
     assert_eq!(report.server.raw_connections, 1);
+    assert_eq!(report.server.protocol_errors, 0);
+}
+
+/// A raw stream holds the payload cap a framed `Data` frame has: past
+/// `MAX_FRAME_LEN` bytes the daemon stops buffering, answers with an error
+/// line and counts a protocol error. The next client is served normally.
+#[cfg(unix)]
+#[test]
+fn raw_stream_over_the_frame_cap_is_refused() {
+    let path = socket_path("raw_cap");
+    let server = Server::start(ServerListener::unix(&path).unwrap(), test_config(1, 4)).unwrap();
+    let mut client = UnixStream::connect(&path).unwrap();
+    let chunk = vec![b' '; 1 << 20];
+    for _ in 0..MAX_FRAME_LEN / chunk.len() {
+        client.write_all(&chunk).unwrap();
+    }
+    client.write_all(b" ").unwrap();
+    // The daemon may already have hung up after the last byte.
+    let _ = client.shutdown(std::net::Shutdown::Write);
+    let mut reply = String::new();
+    client.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("# ftio error:"), "{reply}");
+    assert!(reply.contains("cap"), "{reply}");
+    assert_eq!(server.server_stats().protocol_errors, 1);
+
+    let mut next = UnixStream::connect(&path).unwrap();
+    next.write_all(&periodic_jsonl(10.0, 12)).unwrap();
+    next.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut reply = String::new();
+    next.read_to_string(&mut reply).unwrap();
+    assert!(reply.contains("period 10."), "{reply}");
+    server.shutdown();
+    let report = finish_and_check(server);
+    assert_eq!(report.server.raw_connections, 2);
+    assert_eq!(report.server.protocol_errors, 1);
+    assert_eq!(report.cluster.ticks, 1);
+}
+
+/// `End` on a subscribed connection with no prediction in flight is acked
+/// at once: the flush barrier travels through the pusher's channel, and the
+/// pusher answers it with nothing to write. A later `End` still orders the
+/// new predictions before its `Ack`.
+#[test]
+fn end_without_new_predictions_is_acked_on_a_subscribed_connection() {
+    let server = Server::start(
+        ServerListener::tcp("127.0.0.1:0").unwrap(),
+        test_config(1, 4),
+    )
+    .unwrap();
+    let mut client = TcpStream::connect(server.address()).unwrap();
+    Frame::Hello {
+        name: "quiet".into(),
+    }
+    .write_to(&mut client)
+    .unwrap();
+    Frame::Subscribe {
+        app: Some(AppId::from_name("quiet")),
+        from_seq: None,
+    }
+    .write_to(&mut client)
+    .unwrap();
+    let started = std::time::Instant::now();
+    Frame::End.write_to(&mut client).unwrap();
+    Frame::End.write_to(&mut client).unwrap();
+    let mut reader = FrameReader::new(client.try_clone().unwrap());
+    assert!(matches!(
+        reader.read_frame().unwrap(),
+        Some(Frame::Welcome { .. })
+    ));
+    assert_eq!(reader.read_frame().unwrap(), Some(Frame::Ack));
+    assert_eq!(reader.read_frame().unwrap(), Some(Frame::Ack));
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(5),
+        "acks took {:?}",
+        started.elapsed()
+    );
+
+    Frame::Data(periodic_jsonl(10.0, 12))
+        .write_to(&mut client)
+        .unwrap();
+    Frame::End.write_to(&mut client).unwrap();
+    assert!(matches!(
+        reader.read_frame().unwrap(),
+        Some(Frame::Prediction(update)) if update.seq == 0
+    ));
+    assert_eq!(reader.read_frame().unwrap(), Some(Frame::Ack));
+    drop(reader);
+    drop(client);
+    server.shutdown();
+    let report = finish_and_check(server);
+    assert_eq!(report.cluster.ticks, 1);
     assert_eq!(report.server.protocol_errors, 0);
 }
 
