@@ -165,7 +165,6 @@ pub fn run_cluster(options: &ClusterCliOptions) -> Result<String, String> {
     engine.flush();
     let elapsed = started.elapsed();
     let stats = engine.stats();
-    let results = engine.finish();
 
     let mut out = String::new();
     out.push_str(&format!(
@@ -186,8 +185,9 @@ pub fn run_cluster(options: &ClusterCliOptions) -> Result<String, String> {
     let mut detected_apps = 0usize;
     let shown = options.apps.min(10);
     for stream in &workload.apps {
-        let history = results.get(&stream.app).cloned().unwrap_or_default();
-        let detected = history.last().and_then(|p| p.period());
+        let last = engine.predictions(stream.app).pop();
+        let detected = last.and_then(|p| p.period());
+        let ticks = engine.resume_window(stream.app).1;
         let line = match detected {
             Some(period) => {
                 let error = (period - stream.period).abs() / stream.period;
@@ -199,16 +199,12 @@ pub fn run_cluster(options: &ClusterCliOptions) -> Result<String, String> {
                     stream.period,
                     period,
                     error * 100.0,
-                    history.len()
+                    ticks
                 )
             }
             None => format!(
                 "{:>10} {:>12.2} {:>14} {:>12} {:>10}\n",
-                stream.name,
-                stream.period,
-                "-",
-                "-",
-                history.len()
+                stream.name, stream.period, "-", "-", ticks
             ),
         };
         if stream.app.raw() < shown as u64 {

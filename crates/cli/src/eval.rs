@@ -11,7 +11,7 @@
 
 use ftio_core::eval::{render_report, score_predictions, EvalConfig, EvalReport};
 use ftio_core::{
-    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction,
+    AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction,
     OnlinePredictor, Pacing, WindowStrategy,
 };
 use ftio_synth::drift::{all_scenarios, scenario_by_name, Scenario, ScenarioFamily};
@@ -179,16 +179,21 @@ pub fn run_engine(
         strategy: WindowStrategy::Adaptive { multiple: 3 },
         ..ClusterConfig::default()
     });
+    // The engine retains only each app's last `resume_ring` predictions.
+    let events = engine.subscribe(None);
     let mut source = scenario.to_source();
     engine
         .replay(&mut source, Pacing::AsFast)
         .expect("memory source cannot fail");
     engine.flush();
-    let mut results = engine.finish();
+    let mut runs = AppPredictions::new();
+    for event in events.try_iter() {
+        runs.entry(event.app).or_default().push(event.prediction);
+    }
     scenario
         .apps()
         .into_iter()
-        .map(|app| (app, results.remove(&app).unwrap_or_default()))
+        .map(|app| (app, runs.remove(&app).unwrap_or_default()))
         .collect()
 }
 

@@ -18,7 +18,7 @@ pub mod watch;
 use std::path::Path;
 use std::str::FromStr;
 
-use ftio_core::FtioConfig;
+use ftio_core::{FtioConfig, OnlinePrediction};
 use ftio_synth::hacc::{generate as generate_hacc, HaccConfig};
 use ftio_trace::source::{drain_single, open_path_as, DrainedInput, SourceFormat};
 use ftio_trace::{AppTrace, Heatmap};
@@ -252,6 +252,17 @@ pub(crate) fn parse_flag<T: FromStr>(
         .map_err(|_| format!("invalid value `{value}` for {flag}"))
 }
 
+/// One application's line in the `ftio serve` and `ftio replay` reports.
+/// Under `--resume-ring 0` no prediction is retained, and the line says so.
+pub(crate) fn app_summary(name: &str, published: u64, last: Option<&OnlinePrediction>) -> String {
+    let found = match last.map(|p| (p.period(), p.confidence() * 100.0)) {
+        Some((Some(period), pct)) => format!("period {period:.2} s (confidence {pct:.1} %)"),
+        Some((None, _)) => "no dominant frequency".into(),
+        None => "none retained".into(),
+    };
+    format!("{name}: {published} predictions, {found}\n")
+}
+
 /// Loads the input described by the options (or builds the demo workload) —
 /// opens a streaming [`ftio_trace::source::TraceSource`] for the file and
 /// drains it, so every supported format goes through one ingestion pipeline.
@@ -413,6 +424,41 @@ mod tests {
         let options = parse_common_options(&strings(&["/does/not/exist.jsonl"])).unwrap();
         let err = load_trace(&options).unwrap_err();
         assert!(err.contains("cannot read"));
+    }
+
+    /// The per-app report line counts publishes, and claims nothing about
+    /// the period when the last prediction was not retained.
+    #[test]
+    fn app_summary_counts_publishes_and_admits_an_empty_ring() {
+        use ftio_core::{OnlinePredictor, WindowStrategy};
+        use ftio_trace::IoRequest;
+
+        let config = FtioConfig {
+            sampling_freq: 2.0,
+            use_autocorrelation: false,
+            ..Default::default()
+        };
+        let mut predictor = OnlinePredictor::new(config, WindowStrategy::FullHistory);
+        let quiet = predictor.predict(1.0);
+        predictor.ingest((0..8).map(|i| {
+            let start = i as f64 * 10.0;
+            IoRequest::write(0, start, start + 2.0, 1_000_000_000)
+        }));
+        let periodic = predictor.predict(72.0);
+        let line = app_summary("app", 70, Some(&periodic));
+        assert!(
+            line.starts_with("app: 70 predictions, period 10."),
+            "{line}"
+        );
+        assert!(line.ends_with(" %)\n"), "{line}");
+        assert_eq!(
+            app_summary("app", 3, Some(&quiet)),
+            "app: 3 predictions, no dominant frequency\n"
+        );
+        assert_eq!(
+            app_summary("app", 3, None),
+            "app: 3 predictions, none retained\n"
+        );
     }
 
     #[test]

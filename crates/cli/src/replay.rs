@@ -286,7 +286,7 @@ pub fn run_replay(options: &ReplayCliOptions) -> Result<String, String> {
     }
     let elapsed = started.elapsed();
     let stats = engine.stats();
-    let results = engine.finish();
+    let results = engine.all_predictions();
 
     let pacing = match options.pacing {
         Pacing::AsFast => "as-fast".to_string(),
@@ -320,22 +320,9 @@ pub fn run_replay(options: &ReplayCliOptions) -> Result<String, String> {
     out.push('\n');
     let mut apps: Vec<_> = results.iter().collect();
     apps.sort_by_key(|(app, _)| **app);
-    for (app, history) in &apps {
-        let detected = history.last().and_then(|p| p.period());
-        match detected {
-            Some(period) => out.push_str(&format!(
-                "{app}: {} predictions, period {period:.2} s (confidence {:.1} %)\n",
-                history.len(),
-                history
-                    .last()
-                    .map(|p| p.confidence() * 100.0)
-                    .unwrap_or(0.0)
-            )),
-            None => out.push_str(&format!(
-                "{app}: {} predictions, no dominant frequency\n",
-                history.len()
-            )),
-        }
+    for (app, history) in apps {
+        let (name, published) = (app.to_string(), engine.resume_window(*app).1);
+        out.push_str(&crate::app_summary(&name, published, history.last()));
     }
     out.push_str(&format!(
         "\nsubmitted {}  ticks {}  coalesced {}  dropped {}  rejected {}\n",
@@ -460,7 +447,7 @@ mod tests {
     }
 
     /// Extracts the per-application result lines, stripped of the prediction
-    /// count: a resumed run's result store starts empty, so only the detected
+    /// count: a resumed run counts only its own publishes, so only the detected
     /// period and confidence are expected to match an uninterrupted run.
     fn detections(report: &str) -> Vec<String> {
         report

@@ -145,8 +145,10 @@ pub const SERVE_USAGE: &str = "usage: ftio serve --unix <path> | --tcp <host:por
      \x20                             (default drop-oldest)\n\
      \x20 --retry-after <ms>          backoff hinted to clients on shed submissions\n\
      \x20                             (default 100)\n\
-     \x20 --resume-ring <n>           retained predictions per app for resumable\n\
-     \x20                             subscriptions (default 64, 0 = none)\n\
+     \x20 --resume-ring <n>           predictions retained per app, for resumable\n\
+     \x20                             subscriptions and the drain report; older\n\
+     \x20                             ones are counted, not kept (default 64,\n\
+     \x20                             0 = none)\n\
      \x20 --tenant <name:spec>        budget one tenant; spec is a comma list of\n\
      \x20                             conns=<n>, apps=<n>, rate=<bytes/s>,\n\
      \x20                             burst=<bytes> (repeatable)\n\
@@ -379,9 +381,9 @@ pub fn run_serve(options: &ServeCliOptions) -> Result<String, String> {
         stats.rejected,
         stats.panicked
     ));
-    let mut apps: Vec<_> = report.predictions.iter().collect();
+    let mut apps: Vec<_> = report.published.iter().collect();
     apps.sort_by_key(|(app, _)| **app);
-    for (app, history) in apps {
+    for (app, &published) in apps {
         // Render the hello name when the client announced one; the bare
         // AppId only appears for streams that never said hello.
         let name = report
@@ -389,20 +391,8 @@ pub fn run_serve(options: &ServeCliOptions) -> Result<String, String> {
             .get(app)
             .cloned()
             .unwrap_or_else(|| app.to_string());
-        match history.last().and_then(|p| p.period()) {
-            Some(period) => out.push_str(&format!(
-                "{name}: {} predictions, period {period:.2} s (confidence {:.1} %)\n",
-                history.len(),
-                history
-                    .last()
-                    .map(|p| p.confidence() * 100.0)
-                    .unwrap_or(0.0)
-            )),
-            None => out.push_str(&format!(
-                "{name}: {} predictions, no dominant frequency\n",
-                history.len()
-            )),
-        }
+        let last = report.predictions.get(app).and_then(|h| h.last());
+        out.push_str(&crate::app_summary(&name, published, last));
     }
     Ok(out)
 }

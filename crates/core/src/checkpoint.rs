@@ -27,11 +27,11 @@
 //!   wrong-kind snapshots fail with a structured
 //!   [`TraceError`] carrying the byte offset, never a
 //!   panic.
-//! * **Fresh result stores** — prediction *results* (the per-app
-//!   [`OnlinePrediction`](crate::online::OnlinePrediction) lists) are
-//!   deliberately not serialised: they are outputs already delivered to the
-//!   consumer, not state the continuation needs. A restored engine's result
-//!   store starts empty.
+//! * **Fresh prediction rings** — prediction *results* (each app's resume
+//!   ring of [`OnlinePrediction`](crate::online::OnlinePrediction)s, the
+//!   engine's only prediction store) are deliberately not serialised: they
+//!   are outputs already delivered to the consumer, not state the
+//!   continuation needs. A restored engine's rings start empty.
 
 use ftio_trace::msgpack::{write_array_header, write_f64, write_uint, Reader};
 use ftio_trace::{TraceError, TraceResult};

@@ -129,19 +129,17 @@ pub struct ClusterConfig {
     /// state — so [`ClusterEngine::restore`] comes back in the legacy
     /// layout unless the caller re-applies a thread budget.
     pub threads: usize,
-    /// Per-application retention of published predictions for resumable
-    /// subscriptions: the engine keeps the last `resume_ring` predictions of
-    /// every application in a bounded in-memory ring so a reconnecting
-    /// subscriber can replay from a sequence number
-    /// ([`ClusterEngine::subscribe_from`]). `0` disables retention (live
-    /// events still carry sequence numbers). Like
-    /// [`threads`](ClusterConfig::threads) this is a deployment knob, not
-    /// engine state, and is *not* serialised into snapshots.
+    /// Predictions retained per application, in a bounded ring that is the
+    /// engine's only prediction store: a reconnecting subscriber replays from
+    /// it ([`ClusterEngine::subscribe_from`]), and [`ClusterEngine::finish`]
+    /// and the other history accessors return it. `0` retains nothing; events
+    /// still carry sequence numbers. Callers that need every prediction
+    /// subscribe before they submit. Like [`threads`](ClusterConfig::threads)
+    /// this is a deployment knob, not engine state, and is *not* serialised.
     pub resume_ring: usize,
 }
 
-/// Default [`ClusterConfig::resume_ring`] capacity (predictions retained per
-/// application for subscription resume).
+/// Default [`ClusterConfig::resume_ring`]: predictions retained per application.
 pub const DEFAULT_RESUME_RING: usize = 64;
 
 impl Default for ClusterConfig {
@@ -258,8 +256,8 @@ pub struct ClusterStats {
     pub panicked: u64,
 }
 
-/// Per-application prediction history, as returned by
-/// [`ClusterEngine::finish`].
+/// Each application's last [`ClusterConfig::resume_ring`] predictions, as
+/// returned by [`ClusterEngine::finish`].
 pub type AppPredictions = HashMap<AppId, Vec<OnlinePrediction>>;
 
 /// One prediction pushed to a [`ClusterEngine::subscribe`] receiver.
@@ -282,15 +280,23 @@ type Subscriber = (u64, Option<AppId>, EventSink);
 pub(crate) type EventSink = Box<dyn Fn(PredictionEvent) -> bool + Send>;
 
 /// Sequenced publish history of one application: the next sequence number to
-/// assign plus a bounded ring of the most recently published predictions.
+/// assign plus a bounded ring of the most recently published predictions,
+/// the last of which carries `next_seq - 1`.
 #[derive(Default)]
 struct SeqRing {
     next_seq: u64,
-    entries: VecDeque<(u64, OnlinePrediction)>,
+    entries: VecDeque<OnlinePrediction>,
+}
+
+impl SeqRing {
+    fn oldest_seq(&self) -> u64 {
+        self.next_seq - self.entries.len() as u64
+    }
 }
 
 /// All subscription state behind one lock: live subscribers plus the per-app
-/// resume rings. Keeping both under a single mutex is what makes
+/// resume rings, which are the engine's only record of predictions. Keeping
+/// both under a single mutex is what makes
 /// [`ClusterEngine::subscribe_from`] exact — the ring replay and the
 /// registration happen atomically with respect to publishes, so a resuming
 /// subscriber can neither miss an event published in between nor receive one
@@ -547,7 +553,6 @@ pub struct ClusterEngine {
     /// what makes [`ClusterEngine::snapshot`] and [`ClusterEngine::restore`]
     /// possible.
     predictors: Vec<Arc<Mutex<HashMap<AppId, OnlinePredictor>>>>,
-    results: Arc<Mutex<AppPredictions>>,
     counters: Arc<SharedCounters>,
     plan_stats: Arc<Mutex<Vec<PlanCacheStats>>>,
     hub: Arc<Mutex<SubscriptionHub>>,
@@ -570,7 +575,6 @@ impl ClusterEngine {
         } else {
             config.threads.min(shards).max(1)
         };
-        let results: Arc<Mutex<AppPredictions>> = Arc::new(Mutex::new(HashMap::new()));
         let counters = Arc::new(SharedCounters::default());
         let plan_stats = Arc::new(Mutex::new(vec![PlanCacheStats::default(); workers]));
         let hub = Arc::new(Mutex::new(SubscriptionHub {
@@ -597,7 +601,6 @@ impl ClusterEngine {
                 .filter(|shard| shard % workers == worker_index)
                 .map(|shard| (queues[shard].clone(), predictor_maps[shard].clone()))
                 .collect();
-            let results = results.clone();
             let counters = counters.clone();
             let plan_stats = plan_stats.clone();
             let hub = hub.clone();
@@ -607,7 +610,6 @@ impl ClusterEngine {
                     owned,
                     &signal,
                     &config,
-                    &results,
                     &counters,
                     &plan_stats,
                     &hub,
@@ -618,7 +620,6 @@ impl ClusterEngine {
             shards: queues,
             handles,
             predictors: predictor_maps,
-            results,
             counters,
             plan_stats,
             hub,
@@ -723,18 +724,23 @@ impl ClusterEngine {
         }
     }
 
-    /// Snapshot of the predictions computed so far for one application, in
-    /// tick order.
+    /// The last [`ClusterConfig::resume_ring`] predictions `app` published,
+    /// in tick order. `resume_window(app).1` counts all it published.
     pub fn predictions(&self, app: AppId) -> Vec<OnlinePrediction> {
-        lock_recover(&self.results)
+        let hub = lock_recover(&self.hub);
+        hub.rings
             .get(&app)
-            .cloned()
-            .unwrap_or_default()
+            .map_or(Vec::new(), |r| r.entries.iter().cloned().collect())
     }
 
-    /// Snapshot of all predictions computed so far, keyed by application.
+    /// [`ClusterEngine::predictions`] of every application that published,
+    /// so under a `resume_ring` of 0 each is listed with an empty history.
     pub fn all_predictions(&self) -> AppPredictions {
-        lock_recover(&self.results).clone()
+        let hub = lock_recover(&self.hub);
+        hub.rings
+            .iter()
+            .map(|(app, r)| (*app, r.entries.iter().cloned().collect()))
+            .collect()
     }
 
     /// Registers a push subscription: every prediction tick for `app` (or for
@@ -776,10 +782,11 @@ impl ClusterEngine {
         let mut hub = lock_recover(&self.hub);
         if let (Some(app), Some(from)) = (app, from) {
             if let Some(ring) = hub.rings.get(&app) {
-                for (seq, prediction) in ring.entries.iter().filter(|(seq, _)| *seq >= from) {
+                let retained = (ring.oldest_seq()..).zip(&ring.entries);
+                for (seq, prediction) in retained.filter(|(seq, _)| *seq >= from) {
                     sink(PredictionEvent {
                         app,
-                        seq: *seq,
+                        seq,
                         prediction: prediction.clone(),
                     });
                 }
@@ -806,17 +813,14 @@ impl ClusterEngine {
     /// The resumable window of `app`'s prediction feed, as
     /// `(oldest_resumable_seq, next_seq)`: a
     /// [`subscribe_from`](ClusterEngine::subscribe_from) at or above
-    /// `oldest_resumable_seq` is gapless. Both are 0 when the application
-    /// has never published; they are equal when nothing is retained.
+    /// `oldest_resumable_seq` is gapless, and `next_seq` is how many
+    /// predictions the application has published. Both are 0 when it has
+    /// never published; they are equal when nothing is retained.
     pub fn resume_window(&self, app: AppId) -> (u64, u64) {
         let hub = lock_recover(&self.hub);
-        match hub.rings.get(&app) {
-            Some(ring) => (
-                ring.entries.front().map_or(ring.next_seq, |(seq, _)| *seq),
-                ring.next_seq,
-            ),
-            None => (0, 0),
-        }
+        hub.rings
+            .get(&app)
+            .map_or((0, 0), |ring| (ring.oldest_seq(), ring.next_seq))
     }
 
     /// Aggregate engine counters (see [`ClusterStats`] for the invariant).
@@ -849,9 +853,9 @@ impl ClusterEngine {
     /// reflects a quiescent point; per-application predictor states are
     /// serialised in ascending [`AppId`] order, so equal engine states
     /// produce byte-identical snapshots regardless of shard count or
-    /// submission interleaving. Prediction *histories* are not captured —
-    /// a restored engine starts with an empty result store and continues
-    /// producing the same predictions an uninterrupted run would.
+    /// submission interleaving. Retained predictions and sequence numbers
+    /// are not captured — a restored engine starts with empty rings and
+    /// continues producing the same predictions an uninterrupted run would.
     pub fn snapshot(&self) -> Vec<u8> {
         self.snapshot_with_progress(0)
     }
@@ -952,19 +956,13 @@ impl ClusterEngine {
         Ok((engine, progress))
     }
 
-    /// Crate-internal handle onto the shared result store, used by the
-    /// drop-ordering tests to observe results after the engine is gone.
-    #[cfg(test)]
-    pub(crate) fn results_handle(&self) -> Arc<Mutex<AppPredictions>> {
-        self.results.clone()
-    }
-
     /// Shuts down: closes all queues, lets every worker drain its remaining
-    /// submissions, joins the workers, and returns all predictions.
+    /// submissions, joins the workers, and returns what
+    /// [`ClusterEngine::all_predictions`] would: each application's last
+    /// [`ClusterConfig::resume_ring`] predictions.
     pub fn finish(mut self) -> AppPredictions {
         self.shutdown();
-        let results = lock_recover(&self.results).clone();
-        results
+        self.all_predictions()
     }
 
     /// Close + drain + join. In-flight batches are fully processed before the
@@ -1020,24 +1018,18 @@ fn decode_cluster_config(reader: &mut Reader<'_>) -> TraceResult<ClusterConfig> 
 }
 
 /// Publishes one completed tick: assigns the application's next sequence
-/// number, retains the prediction in the bounded resume ring, and sends the
-/// event to every matching subscriber, pruning subscribers whose receiving
-/// half is gone. Sequencing, retention and delivery happen under the one hub
+/// number, sends the event to every matching subscriber, pruning subscribers
+/// whose receiving half is gone, and moves the prediction into the bounded
+/// resume ring. Sequencing, delivery and retention happen under the one hub
 /// lock, which is what makes resume replay exact. The lock is only contended
 /// when subscriptions are added, and the common no-subscriber case is one
 /// uncontended lock + a ring push.
-fn publish_prediction(hub: &Mutex<SubscriptionHub>, app: AppId, prediction: &OnlinePrediction) {
-    let mut hub = lock_recover(hub);
-    let capacity = hub.ring_capacity;
+fn publish_prediction(hub: &Mutex<SubscriptionHub>, app: AppId, prediction: OnlinePrediction) {
+    let mut guard = lock_recover(hub);
+    let hub = &mut *guard;
     let ring = hub.rings.entry(app).or_default();
     let seq = ring.next_seq;
     ring.next_seq += 1;
-    if capacity > 0 {
-        ring.entries.push_back((seq, prediction.clone()));
-        while ring.entries.len() > capacity {
-            ring.entries.pop_front();
-        }
-    }
     hub.subscribers.retain(|(_, filter, sink)| {
         if filter.map_or(true, |wanted| wanted == app) {
             sink(PredictionEvent {
@@ -1049,6 +1041,12 @@ fn publish_prediction(hub: &Mutex<SubscriptionHub>, app: AppId, prediction: &Onl
             true
         }
     });
+    if hub.ring_capacity > 0 {
+        ring.entries.push_back(prediction);
+        while ring.entries.len() > hub.ring_capacity {
+            ring.entries.pop_front();
+        }
+    }
 }
 
 /// One worker-owned slot: a shard's queue plus its exclusive predictor map.
@@ -1057,13 +1055,11 @@ type OwnedShard = (Arc<ShardQueue>, Arc<Mutex<HashMap<AppId, OnlinePredictor>>>)
 /// One cluster worker: round-robin over the owned shard queues, draining,
 /// grouping and ticking each, parking on the shared [`WorkerSignal`] when
 /// every owned queue is empty, exiting once every owned queue is closed.
-#[allow(clippy::too_many_arguments)]
 fn cluster_worker(
     worker_index: usize,
     owned: Vec<OwnedShard>,
     signal: &WorkerSignal,
     config: &ClusterConfig,
-    results: &Mutex<AppPredictions>,
     counters: &SharedCounters,
     plan_stats: &Mutex<Vec<PlanCacheStats>>,
     hub: &Mutex<SubscriptionHub>,
@@ -1084,7 +1080,7 @@ fn cluster_worker(
                 Drained::Batch(batch) => {
                     progressed = true;
                     let drained = batch.len();
-                    process_batch(batch, config, predictors, results, counters, hub);
+                    process_batch(batch, config, predictors, counters, hub);
                     // Export this thread's plan-cache counters *before*
                     // marking the batch complete, so `flush()` +
                     // `plan_cache_stats()` observes them.
@@ -1112,7 +1108,6 @@ fn process_batch(
     batch: Vec<QueueItem>,
     config: &ClusterConfig,
     predictors: &Mutex<HashMap<AppId, OnlinePredictor>>,
-    results: &Mutex<AppPredictions>,
     counters: &SharedCounters,
     hub: &Mutex<SubscriptionHub>,
 ) {
@@ -1166,11 +1161,7 @@ fn process_batch(
             }));
             match outcome {
                 Ok(prediction) => {
-                    publish_prediction(hub, app, &prediction);
-                    lock_recover(results)
-                        .entry(app)
-                        .or_default()
-                        .push(prediction);
+                    publish_prediction(hub, app, prediction);
                     counters.ticks.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(_) => {
@@ -1255,6 +1246,17 @@ mod tests {
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }
+    }
+
+    /// A prediction as raw bit patterns, so equality is bit-for-bit.
+    fn prediction_bits(p: &OnlinePrediction) -> (u64, u64, u64, Option<u64>, u64) {
+        (
+            p.time.to_bits(),
+            p.window_start.to_bits(),
+            p.window_end.to_bits(),
+            p.period().map(f64::to_bits),
+            p.confidence().to_bits(),
+        )
     }
 
     fn assert_accounting(stats: &ClusterStats) {
@@ -1445,6 +1447,8 @@ mod tests {
     /// The resume ring is bounded: old entries are evicted, the advertised
     /// window moves forward, and a too-old resume starts at the oldest
     /// retained entry rather than erroring or gapping silently backwards.
+    /// The ring is the engine's only prediction store, so every history
+    /// accessor returns exactly what it retains.
     #[test]
     fn resume_ring_is_bounded_and_advertises_its_window() {
         let engine = ClusterEngine::spawn(ClusterConfig {
@@ -1452,16 +1456,39 @@ mod tests {
             ..engine_config(1, 64, BackpressurePolicy::Block)
         });
         let app = AppId::new(1);
-        for tick in 0..8u64 {
-            let start = tick as f64 * 10.0;
-            engine.submit(app, burst(2, start, 2.0, 1_000_000_000), start + 2.0);
-        }
-        engine.flush();
+        let everything = engine.subscribe(Some(app));
+        let submit_ticks = |ticks: std::ops::Range<u64>| {
+            for tick in ticks {
+                let start = tick as f64 * 10.0;
+                engine.submit(app, burst(2, start, 2.0, 1_000_000_000), start + 2.0);
+            }
+            engine.flush();
+        };
+        submit_ticks(0..8);
         // 8 published, ring keeps the last 3: seqs 5, 6, 7.
         assert_eq!(engine.resume_window(app), (5, 8));
         let resumed = engine.subscribe_from(Some(app), Some(0));
         let seqs: Vec<u64> = resumed.try_iter().map(|event| event.seq).collect();
         assert_eq!(seqs, vec![5, 6, 7]);
+
+        // 10 published: every accessor returns the last 3, bit for bit the
+        // last 3 events a subscriber received.
+        submit_ticks(8..10);
+        assert_eq!(engine.resume_window(app), (7, 10));
+        let events: Vec<PredictionEvent> = everything.try_iter().collect();
+        assert_eq!(events.len(), 10);
+        let last_three: Vec<_> = events[7..]
+            .iter()
+            .map(|event| prediction_bits(&event.prediction))
+            .collect();
+        let bits = |history: &[OnlinePrediction]| -> Vec<_> {
+            history.iter().map(prediction_bits).collect()
+        };
+        assert_eq!(bits(&engine.predictions(app)), last_three);
+        let all = engine.all_predictions();
+        assert_eq!(all.len(), 1);
+        assert_eq!(bits(&all[&app]), last_three);
+        assert_eq!(bits(&engine.finish()[&app]), last_three);
 
         // A ring of zero disables retention but keeps sequencing.
         let bare = ClusterEngine::spawn(ClusterConfig {
@@ -1477,8 +1504,10 @@ mod tests {
         assert_eq!(events[0].seq, 0);
         let nothing = bare.subscribe_from(Some(app), Some(0));
         assert!(nothing.try_iter().next().is_none());
-        bare.finish();
-        engine.finish();
+        // The app is still listed, with nothing retained.
+        assert!(bare.predictions(app).is_empty());
+        assert_eq!(bare.all_predictions().get(&app).map(Vec::len), Some(0));
+        assert_eq!(bare.finish().get(&app).map(Vec::len), Some(0));
     }
 
     #[test]
@@ -1733,20 +1762,20 @@ mod tests {
 
     /// Satellite: a poisoned shared mutex is recovered, not propagated — the
     /// engine API keeps working after a thread panicked while holding the
-    /// results lock.
+    /// results lock, which is the subscription hub's lock.
     #[test]
     fn poisoned_results_lock_is_recovered() {
         let engine = ClusterEngine::spawn(engine_config(1, 8, BackpressurePolicy::Block));
         let app = AppId::new(4);
         engine.submit(app, burst(1, 0.0, 1.0, 1_000_000), 1.0);
         engine.flush();
-        let results = engine.results_handle();
+        let hub = engine.hub.clone();
         let poisoner = std::thread::spawn(move || {
-            let _guard = results.lock().unwrap();
+            let _guard = hub.lock().unwrap();
             panic!("poison the results lock");
         });
         assert!(poisoner.join().is_err());
-        assert!(engine.results_handle().is_poisoned());
+        assert!(engine.hub.is_poisoned());
         // Reads recover the data...
         assert_eq!(engine.predictions(app).len(), 1);
         // ...and the worker writes through the poisoned lock just the same.
@@ -1765,9 +1794,9 @@ mod tests {
     fn dropping_the_engine_drains_in_flight_predictions() {
         for round in 0..8usize {
             let engine = ClusterEngine::spawn(engine_config(1, 64, BackpressurePolicy::Block));
-            // Keep the result store alive past the engine to observe what the
-            // worker wrote during the drop-triggered drain.
-            let results = engine.results_handle();
+            // The subscription outlives the engine, so it observes what the
+            // worker published during the drop-triggered drain.
+            let events = engine.subscribe(None);
             let submissions = 3 + round % 4;
             for i in 0..submissions {
                 let start = i as f64 * 9.0;
@@ -1780,7 +1809,7 @@ mod tests {
             // Drop immediately: the worker may not have started any of the
             // submissions yet — all of them are "in flight".
             drop(engine);
-            let drained: usize = lock_recover(&results).values().map(Vec::len).sum();
+            let drained = events.try_iter().count();
             assert_eq!(
                 drained,
                 submissions,
@@ -2326,6 +2355,9 @@ mod tests {
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }));
+        // Opened before any submission, so it sees every published tick; the
+        // ring keeps only each app's last `resume_ring`.
+        let events = engine.subscribe(None);
         let periods: Vec<f64> = (0..apps).map(|i| 8.0 + i as f64 * 2.0).collect();
         let producers: Vec<_> = (0..2usize)
             .map(|producer| {
@@ -2358,19 +2390,48 @@ mod tests {
         assert_eq!(stats.rejected, 0);
         assert_eq!(stats.dropped, 0);
         assert_accounting(&stats);
-        let results = engine.all_predictions();
-        assert_eq!(results.len(), apps);
+        let mut histories: HashMap<AppId, Vec<(u64, OnlinePrediction)>> = HashMap::new();
+        for event in events.try_iter() {
+            histories
+                .entry(event.app)
+                .or_default()
+                .push((event.seq, event.prediction));
+        }
+        assert_eq!(histories.len(), apps);
+        let retained = engine.all_predictions();
+        assert_eq!(retained.len(), apps);
+        // Every tick was published: the ring retains only the last
+        // `resume_ring` of each app, the sequence counters count them all.
+        let published: u64 = (0..apps as u64)
+            .map(|app| engine.resume_window(AppId::new(app)).1)
+            .sum();
+        assert_eq!(published, stats.ticks);
         for (app, &period) in periods.iter().enumerate() {
-            let history = &results[&AppId::new(app as u64)];
+            let id = AppId::new(app as u64);
+            let history = &histories[&id];
             assert!(
                 !history.is_empty(),
                 "app {app} produced no predictions at all"
             );
-            for pair in history.windows(2) {
-                assert!(pair[1].time > pair[0].time, "app {app} out of order");
+            // Each app's whole run, not just its ring, arrives gapless and in
+            // order, and its sequence counter counts exactly those events.
+            assert_eq!(history.len() as u64, engine.resume_window(id).1);
+            for (expected, (seq, _)) in history.iter().enumerate() {
+                assert_eq!(*seq, expected as u64, "app {app} seq gap");
             }
-            // Every app collected its full thousand-burst history…
-            let last = history.last().unwrap();
+            for pair in history.windows(2) {
+                assert!(pair[1].1.time > pair[0].1.time, "app {app} out of order");
+            }
+            // The ring holds the tail of that run, bit for bit.
+            let ring = &retained[&id];
+            let tail = &history[history.len() - ring.len()..];
+            assert_eq!(ring.len(), DEFAULT_RESUME_RING.min(history.len()));
+            assert!(ring
+                .iter()
+                .zip(tail)
+                .all(|(kept, (_, sent))| prediction_bits(kept) == prediction_bits(sent)));
+            // Every app published through its full thousand-burst history…
+            let last = ring.last().unwrap();
             assert_eq!(last.time, (flushes - 1) as f64 * period + 2.0);
             // …and the final bounded-window tick still locks onto the app's
             // periodic structure. The 300 s window holds a non-integer number
@@ -2442,10 +2503,8 @@ mod tests {
             accepted_total.load(Ordering::Relaxed)
         );
         assert_accounting(&stats);
-        let processed: u64 = engine
-            .all_predictions()
-            .values()
-            .map(|v| v.len() as u64)
+        let processed: u64 = (0..64)
+            .map(|app| engine.resume_window(AppId::new(app)).1)
             .sum();
         assert_eq!(processed, accepted_total.load(Ordering::Relaxed));
     }

@@ -451,8 +451,11 @@ pub struct ServerReport {
     pub cluster: ClusterStats,
     /// Serving-side counters.
     pub server: ServerStats,
-    /// Every application's full prediction history.
+    /// Each application's last [`ClusterConfig::resume_ring`] predictions.
     pub predictions: AppPredictions,
+    /// Each application's count of published predictions, retained or not
+    /// (the second half of its [`ClusterEngine::resume_window`]).
+    pub published: HashMap<AppId, u64>,
     /// Human-readable names for the [`AppId`]s seen by this daemon, as
     /// announced in [`Frame::Hello`] (raw connections get `raw-{id}`).
     pub names: HashMap<AppId, String>,
@@ -806,10 +809,17 @@ impl Server {
             let _ = accept.join();
         }
         self.shared.engine.flush();
+        let engine = &self.shared.engine;
+        let predictions = engine.all_predictions();
+        let published = predictions
+            .keys()
+            .map(|&app| (app, engine.resume_window(app).1))
+            .collect();
         ServerReport {
-            cluster: self.shared.engine.stats(),
+            cluster: engine.stats(),
             server: self.shared.server_stats(),
-            predictions: self.shared.engine.all_predictions(),
+            predictions,
+            published,
             names: lock_recover(&self.shared.names).clone(),
         }
     }
@@ -1285,21 +1295,24 @@ fn raw_connection(
     match outcome {
         Ok(replay) => {
             shared.engine.flush();
-            let history = shared.engine.predictions(app);
-            let line = match history.last() {
-                Some(last) => {
+            let published = shared.engine.resume_window(app).1;
+            let line = match (published, shared.engine.predictions(app).pop()) {
+                (0, _) => format!("# ftio {name}: no accepted submissions\n"),
+                (_, Some(last)) => {
                     let period = match last.period() {
                         Some(seconds) => format!("{seconds:.3} s"),
                         None => "none".into(),
                     };
                     format!(
-                        "# ftio {name}: {} batches, {} predictions, period {period}, confidence {:.1} %\n",
+                        "# ftio {name}: {} batches, {published} predictions, period {period}, confidence {:.1} %\n",
                         replay.batches,
-                        history.len(),
                         last.confidence() * 100.0
                     )
                 }
-                None => format!("# ftio {name}: no accepted submissions\n"),
+                (_, None) => format!(
+                    "# ftio {name}: {} batches, {published} predictions, none retained\n",
+                    replay.batches
+                ),
             };
             let _ = write_half.write_all(line.as_bytes());
         }

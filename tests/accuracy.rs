@@ -17,8 +17,8 @@
 
 use ftio_core::eval::{score_predictions, EvalConfig, EvalReport};
 use ftio_core::{
-    detect_trace, BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction,
-    OnlinePredictor, Pacing, TickMode, WindowStrategy,
+    detect_trace, AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig,
+    OnlinePrediction, OnlinePredictor, Pacing, TickMode, WindowStrategy,
 };
 use ftio_synth::drift::{self, all_scenarios, scenario_for, DriftConfig, Scenario, ScenarioFamily};
 use ftio_synth::ior::PhaseLibrary;
@@ -234,16 +234,21 @@ fn run_scenario_engine(scenario: &Scenario) -> Vec<(AppId, Vec<OnlinePrediction>
         strategy: eval_strategy(),
         ..ClusterConfig::default()
     });
+    // The engine retains only each app's last `resume_ring` predictions.
+    let events = engine.subscribe(None);
     let mut source = scenario.to_source();
     engine
         .replay(&mut source, Pacing::AsFast)
         .expect("memory source cannot fail");
     engine.flush();
-    let mut results = engine.finish();
+    let mut runs = AppPredictions::new();
+    for event in events.try_iter() {
+        runs.entry(event.app).or_default().push(event.prediction);
+    }
     scenario
         .apps()
         .into_iter()
-        .map(|app| (app, results.remove(&app).unwrap_or_default()))
+        .map(|app| (app, runs.remove(&app).unwrap_or_default()))
         .collect()
 }
 
@@ -557,7 +562,6 @@ fn multi_tenant_replay_accounting_reconciles() {
             .expect("memory source cannot fail");
         engine.flush();
         let stats = engine.stats();
-        let results = engine.finish();
         let label = format!("policy {policy:?}");
 
         assert_eq!(
@@ -582,7 +586,13 @@ fn multi_tenant_replay_accounting_reconciles() {
             stats.submitted - stats.rejected,
             "{label}: accounting identity"
         );
-        let predictions: u64 = results.values().map(|h| h.len() as u64).sum();
+        // Each app's sequence counter counts every prediction it published,
+        // including those older than its ring retains.
+        let predictions: u64 = scenario
+            .apps()
+            .into_iter()
+            .map(|app| engine.resume_window(app).1)
+            .sum();
         assert_eq!(predictions, stats.ticks, "{label}: one prediction per tick");
         if policy == BackpressurePolicy::Block {
             assert_eq!(stats.dropped + stats.rejected, 0, "{label}: lossless");

@@ -10,6 +10,8 @@
 //!   decompressed transparently; a stream over the frame cap is refused.
 //! * **Flush barriers** — `End` on a subscribed connection is acked after
 //!   the predictions it covers, and at once when there are none.
+//! * **Bounded prediction store** — the drain report retains each app's last
+//!   `resume_ring` predictions and counts every one it published.
 //! * **Fault isolation at the network edge** — a malformed frame, a
 //!   disconnect mid-frame, or a connection over the admission limit affects
 //!   only the offending connection; every other client keeps being served
@@ -22,7 +24,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 use ftio_core::server::{Server, ServerConfig, ServerListener, ServerReport};
-use ftio_core::{ClusterConfig, ClusterStats, FtioConfig};
+use ftio_core::{ClusterConfig, ClusterStats, FtioConfig, DEFAULT_RESUME_RING};
 use ftio_trace::wire::{Frame, FrameReader, FRAME_MAGIC, MAX_FRAME_LEN};
 use ftio_trace::{jsonl, AppId, IoRequest};
 
@@ -534,23 +536,29 @@ fn connections_over_the_limit_are_rejected_with_an_error_frame() {
     assert_eq!(report.cluster.ticks, 1);
 }
 
+/// A TCP session end to end, also under a resume ring smaller than what the
+/// session publishes: the report retains the app's last `resume_ring`
+/// predictions and still counts every one it published.
 #[test]
 fn tcp_smoke_round_trip() {
-    let server = Server::start(
-        ServerListener::tcp("127.0.0.1:0").unwrap(),
-        test_config(2, 4),
-    )
-    .unwrap();
-    let predictions = framed_session(
-        TcpStream::connect(server.address()).unwrap(),
-        "tcp-app",
-        &periodic_jsonl(10.0, 12),
-        2,
-    );
-    assert_eq!(predictions.len(), 2);
-    let stats = shutdown_via_client(TcpStream::connect(server.address()).unwrap());
-    assert!(stats.is_balanced(), "{stats:?}");
-    let report = finish_and_check(server);
-    assert_eq!(report.server.accepted, 2);
-    assert_balanced(&report.cluster);
+    for (resume_ring, frames) in [(DEFAULT_RESUME_RING, 2), (2, 10)] {
+        let mut config = test_config(2, 4);
+        config.cluster.resume_ring = resume_ring;
+        let server = Server::start(ServerListener::tcp("127.0.0.1:0").unwrap(), config).unwrap();
+        let predictions = framed_session(
+            TcpStream::connect(server.address()).unwrap(),
+            "tcp-app",
+            &periodic_jsonl(10.0, 12),
+            frames,
+        );
+        assert_eq!(predictions.len(), frames);
+        let stats = shutdown_via_client(TcpStream::connect(server.address()).unwrap());
+        assert!(stats.is_balanced(), "{stats:?}");
+        let report = finish_and_check(server);
+        assert_eq!(report.server.accepted, 2);
+        assert_balanced(&report.cluster);
+        let app = AppId::from_name("tcp-app");
+        assert_eq!(report.predictions[&app].len(), frames.min(resume_ring));
+        assert_eq!(report.published[&app], frames as u64);
+    }
 }
