@@ -10,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ftio_core::{
-    ClusterConfig, ClusterEngine, FtioConfig, MemoryPolicy, OnlinePredictor, RetentionPolicy,
-    WindowStrategy,
+    ClusterConfig, ClusterEngine, FtioConfig, OnlinePredictor, RetentionPolicy, WindowStrategy,
 };
 use ftio_synth::scenarios::{long_history_requests, LongHistoryConfig};
 use ftio_trace::AppId;
@@ -26,7 +25,7 @@ fn analysis_config() -> FtioConfig {
 
 /// A predictor warmed with `bursts` bursts of the long-history workload and
 /// a handful of prediction ticks (so the snapshot carries real history).
-fn warm_predictor(bursts: usize, memory: MemoryPolicy) -> OnlinePredictor {
+fn warm_predictor(bursts: usize, memory: RetentionPolicy) -> OnlinePredictor {
     let config = LongHistoryConfig {
         bursts,
         ranks: 4,
@@ -48,11 +47,8 @@ fn warm_predictor(bursts: usize, memory: MemoryPolicy) -> OnlinePredictor {
 /// and ring-bounded predictor. Ring retention caps the payload, so its cost
 /// should stay flat while keep-all grows with the horizon.
 fn bench_checkpoint_predictor(c: &mut Criterion) {
-    let ring = MemoryPolicy {
-        retention: RetentionPolicy::Ring { max_bins: 4096 },
-        retain_requests: false,
-    };
-    for (label, memory) in [("keep_all", MemoryPolicy::default()), ("ring", ring)] {
+    let ring = RetentionPolicy::Ring { max_bins: 4096 };
+    for (label, memory) in [("keep_all", RetentionPolicy::KeepAll), ("ring", ring)] {
         let mut group = c.benchmark_group(format!("checkpoint_predictor/{label}"));
         for bursts in [256usize, 1024, 4096] {
             let predictor = warm_predictor(bursts, memory);

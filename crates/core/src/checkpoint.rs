@@ -5,11 +5,16 @@
 //! *kind* string and then the state of the snapshotted object:
 //!
 //! * [`KIND_PREDICTOR`] — one [`OnlinePredictor`](crate::online::OnlinePredictor):
-//!   analysis config, window strategy, tick mode, memory policy, the full
+//!   analysis config, window strategy, memory policy, the full
 //!   [`IncrementalSampler`](crate::sampling::IncrementalSampler) bin buffer
-//!   (including retention state and the downsampling pyramid), the prediction
-//!   history, and the adaptive-window bookkeeping. Produced by
+//!   (including retention state), the prediction history, and the
+//!   adaptive-window bookkeeping. Produced by
 //!   [`OnlinePredictor::snapshot`](crate::online::OnlinePredictor::snapshot).
+//!   The layout keeps three slots of options that no longer exist: a tick
+//!   mode (written 0), request-retention flags (written 0, and a request list
+//!   written with flag 1 is read and dropped) and the sampler's coarse-level
+//!   list (written empty). A tick-mode tag 1, a retention tag 2 or a
+//!   non-empty level list is a decode error.
 //! * [`KIND_CLUSTER`] — a whole [`ClusterEngine`](crate::cluster::ClusterEngine):
 //!   the engine configuration, aggregate counters, an opaque replay-progress
 //!   cursor, and every per-application predictor state across all shards
@@ -38,7 +43,7 @@ use ftio_trace::{TraceError, TraceResult};
 
 use crate::cluster::BackpressurePolicy;
 use crate::config::{FtioConfig, OutlierMethod};
-use crate::online::{MemoryPolicy, TickMode, WindowStrategy};
+use crate::online::WindowStrategy;
 use crate::sampling::RetentionPolicy;
 
 /// Payload-kind tag of a single-predictor snapshot.
@@ -230,21 +235,15 @@ pub(crate) fn decode_strategy(reader: &mut Reader<'_>) -> TraceResult<WindowStra
     }
 }
 
-pub(crate) fn encode_tick_mode(out: &mut Vec<u8>, mode: TickMode) {
-    write_uint(
-        out,
-        match mode {
-            TickMode::Incremental => 0,
-            TickMode::Rebuild => 1,
-        },
-    );
+/// The tick-mode slot, always tag 0: the predictor has one tick path.
+pub(crate) fn encode_tick_mode(out: &mut Vec<u8>) {
+    write_uint(out, 0);
 }
 
-pub(crate) fn decode_tick_mode(reader: &mut Reader<'_>) -> TraceResult<TickMode> {
+pub(crate) fn decode_tick_mode(reader: &mut Reader<'_>) -> TraceResult<()> {
     match reader.read_uint()? {
-        0 => Ok(TickMode::Incremental),
-        1 => Ok(TickMode::Rebuild),
-        tag => Err(err_at(reader, format!("unknown tick-mode tag {tag}"))),
+        0 => Ok(()),
+        tag => Err(err_at(reader, format!("unsupported tick-mode tag {tag}"))),
     }
 }
 
@@ -255,11 +254,6 @@ pub(crate) fn encode_retention(out: &mut Vec<u8>, retention: &RetentionPolicy) {
             write_uint(out, 1);
             write_uint(out, max_bins as u64);
         }
-        RetentionPolicy::Pyramid { fine_bins, levels } => {
-            write_uint(out, 2);
-            write_uint(out, fine_bins as u64);
-            write_uint(out, levels as u64);
-        }
     }
 }
 
@@ -268,10 +262,6 @@ pub(crate) fn decode_retention(reader: &mut Reader<'_>) -> TraceResult<Retention
         0 => RetentionPolicy::KeepAll,
         1 => RetentionPolicy::Ring {
             max_bins: read_count(reader, "ring max_bins")?,
-        },
-        2 => RetentionPolicy::Pyramid {
-            fine_bins: read_count(reader, "pyramid fine_bins")?,
-            levels: read_count(reader, "pyramid levels")?,
         },
         tag => {
             return Err(err_at(
@@ -286,16 +276,17 @@ pub(crate) fn decode_retention(reader: &mut Reader<'_>) -> TraceResult<Retention
     Ok(retention)
 }
 
-pub(crate) fn encode_memory_policy(out: &mut Vec<u8>, memory: &MemoryPolicy) {
-    encode_retention(out, &memory.retention);
-    write_flag(out, memory.retain_requests);
+/// The memory-policy slot: the retention, then a request-retention flag that
+/// is written 0 and ignored on decode.
+pub(crate) fn encode_memory_policy(out: &mut Vec<u8>, memory: &RetentionPolicy) {
+    encode_retention(out, memory);
+    write_flag(out, false);
 }
 
-pub(crate) fn decode_memory_policy(reader: &mut Reader<'_>) -> TraceResult<MemoryPolicy> {
-    Ok(MemoryPolicy {
-        retention: decode_retention(reader)?,
-        retain_requests: read_flag(reader)?,
-    })
+pub(crate) fn decode_memory_policy(reader: &mut Reader<'_>) -> TraceResult<RetentionPolicy> {
+    let retention = decode_retention(reader)?;
+    read_flag(reader)?;
+    Ok(retention)
 }
 
 pub(crate) fn encode_policy(out: &mut Vec<u8>, policy: BackpressurePolicy) {
@@ -380,11 +371,9 @@ mod tests {
             encode_strategy(&mut out, &strategy);
             assert_eq!(decode_strategy(&mut Reader::new(&out)).unwrap(), strategy);
         }
-        for mode in [TickMode::Incremental, TickMode::Rebuild] {
-            let mut out = Vec::new();
-            encode_tick_mode(&mut out, mode);
-            assert_eq!(decode_tick_mode(&mut Reader::new(&out)).unwrap(), mode);
-        }
+        let mut out = Vec::new();
+        encode_tick_mode(&mut out);
+        decode_tick_mode(&mut Reader::new(&out)).unwrap();
         for policy in [
             BackpressurePolicy::Block,
             BackpressurePolicy::DropOldest,
@@ -399,18 +388,8 @@ mod tests {
     #[test]
     fn memory_policy_round_trips() {
         for memory in [
-            MemoryPolicy::default(),
-            MemoryPolicy {
-                retention: RetentionPolicy::Ring { max_bins: 512 },
-                retain_requests: true,
-            },
-            MemoryPolicy {
-                retention: RetentionPolicy::Pyramid {
-                    fine_bins: 256,
-                    levels: 3,
-                },
-                retain_requests: false,
-            },
+            RetentionPolicy::KeepAll,
+            RetentionPolicy::Ring { max_bins: 512 },
         ] {
             let mut out = Vec::new();
             encode_memory_policy(&mut out, &memory);
@@ -452,6 +431,16 @@ mod tests {
             err.to_string().contains("invalid FTIO configuration"),
             "{err}"
         );
+
+        // The tags of the rebuild tick mode and the pyramid retention.
+        let mut out = Vec::new();
+        write_uint(&mut out, 1);
+        let err = decode_tick_mode(&mut Reader::new(&out)).unwrap_err();
+        assert!(err.to_string().contains("tick-mode tag 1"), "{err}");
+        let mut out = Vec::new();
+        write_uint(&mut out, 2);
+        let err = decode_retention(&mut Reader::new(&out)).unwrap_err();
+        assert!(err.to_string().contains("retention-policy tag 2"), "{err}");
 
         // Wrong payload kind.
         let mut out = Vec::new();

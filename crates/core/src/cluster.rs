@@ -41,7 +41,8 @@ use ftio_trace::{snapshot, AppId, IoRequest, TraceResult};
 
 use crate::checkpoint;
 use crate::config::FtioConfig;
-use crate::online::{MemoryPolicy, OnlinePrediction, OnlinePredictor, WindowStrategy};
+use crate::online::{OnlinePrediction, OnlinePredictor, WindowStrategy};
+use crate::sampling::RetentionPolicy;
 
 /// Locks a mutex, recovering the guarded data if a previous holder panicked.
 ///
@@ -113,10 +114,10 @@ pub struct ClusterConfig {
     pub ftio: FtioConfig,
     /// Window strategy handed to every per-application predictor.
     pub strategy: WindowStrategy,
-    /// Memory policy (bin retention, request retention) handed to every
-    /// per-application predictor — the knob that keeps a long-horizon
-    /// deployment's footprint bounded.
-    pub memory: MemoryPolicy,
+    /// Bin retention handed to every per-application predictor's sampler,
+    /// which can bound a long-horizon deployment's bin buffers. A library
+    /// setting: no `ftio` flag selects it, so `ftio serve` keeps every bin.
+    pub memory: RetentionPolicy,
     /// Worker threads serving the shard queues. `0` (the default) keeps the
     /// historical one-worker-per-shard layout; any other value spawns
     /// `min(threads, shards)` workers, each owning the shards congruent to
@@ -151,7 +152,7 @@ impl Default for ClusterConfig {
             policy: BackpressurePolicy::default(),
             ftio: FtioConfig::default(),
             strategy: WindowStrategy::default(),
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }
@@ -1242,7 +1243,7 @@ mod tests {
             policy,
             ftio: fast_config(),
             strategy: WindowStrategy::FullHistory,
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }
@@ -2094,7 +2095,7 @@ mod tests {
                 policy: BackpressurePolicy::Block,
                 ftio: fast_config(),
                 strategy: WindowStrategy::Adaptive { multiple: 3 },
-                memory: MemoryPolicy::default(),
+                memory: RetentionPolicy::KeepAll,
                 threads: 0,
                 resume_ring: DEFAULT_RESUME_RING,
             });
@@ -2142,7 +2143,7 @@ mod tests {
             policy: BackpressurePolicy::Block,
             ftio: config,
             strategy: WindowStrategy::Fixed { length: 300.0 },
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         });
@@ -2211,7 +2212,7 @@ mod tests {
             policy: BackpressurePolicy::Block,
             ftio: fast_config(),
             strategy: WindowStrategy::FullHistory,
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }));
@@ -2288,7 +2289,7 @@ mod tests {
             policy: BackpressurePolicy::DropOldest,
             ftio: fast_config(),
             strategy: WindowStrategy::FullHistory,
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }));
@@ -2348,7 +2349,7 @@ mod tests {
             max_batch: 4,
             policy: BackpressurePolicy::Block,
             ftio: fast_config(),
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             // Bounded analysis window: tick cost is dominated by the sampling
             // stage, which is exactly what the incremental path makes O(new).
             strategy: WindowStrategy::Fixed { length: 300.0 },
@@ -2460,7 +2461,7 @@ mod tests {
             policy: BackpressurePolicy::Reject,
             ftio: fast_config(),
             strategy: WindowStrategy::FullHistory,
-            memory: MemoryPolicy::default(),
+            memory: RetentionPolicy::KeepAll,
             threads: 0,
             resume_ring: DEFAULT_RESUME_RING,
         }));

@@ -83,7 +83,7 @@ pub use eval::{
     ChangeTracking, EvalConfig, EvalReport, EvalTick, TickScore,
 };
 pub use freq_merge::{merge_predictions, FrequencyInterval, FrequencyPrediction};
-pub use online::{MemoryPolicy, OnlinePrediction, OnlinePredictor, TickMode, WindowStrategy};
+pub use online::{OnlinePrediction, OnlinePredictor, WindowStrategy};
 pub use reconstruct::{reconstruct_bins, reconstruct_candidates, Reconstruction};
 pub use sampling::{
     recommend_sampling_freq, sample_heatmap, sample_trace, sample_trace_window, IncrementalSampler,

@@ -19,7 +19,7 @@
 
 use ftio_trace::msgpack::{self, write_array_header, write_f64, write_str, write_uint, Reader};
 use ftio_trace::source::TraceSource;
-use ftio_trace::{snapshot, AppTrace, IoRequest, TraceResult};
+use ftio_trace::{snapshot, IoRequest, TraceResult};
 
 use crate::checkpoint;
 use crate::config::FtioConfig;
@@ -77,52 +77,18 @@ impl OnlinePrediction {
     }
 }
 
-/// How a prediction tick derives the discretised signal from the collected
-/// data.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum TickMode {
-    /// The production path: the predictor holds an [`IncrementalSampler`]
-    /// across ticks, new requests are folded in at ingest time
-    /// (`O(new requests)`), and every tick analyses a window *view* over the
-    /// persistent bin buffer — steady-state tick cost is independent of how
-    /// much history has been collected.
-    #[default]
-    Incremental,
-    /// The pre-PR-5 baseline, retained for equivalence tests and benchmarks:
-    /// every tick rebuilds the discretised signal from the full retained
-    /// request list (`O(total requests)` per tick). Produces bit-for-bit
-    /// identical predictions to [`TickMode::Incremental`] — pinned by tests —
-    /// because both fold the same requests in the same order.
-    Rebuild,
-}
-
-/// Memory behaviour of an [`OnlinePredictor`] over a long-horizon run.
-///
-/// The default keeps the pre-existing behaviour: every fine bin is retained
-/// ([`RetentionPolicy::KeepAll`]) and the raw request list is **not** kept
-/// (under [`TickMode::Incremental`] nothing ever reads it back; the request
-/// list is the one structure that would otherwise grow with every flush for
-/// the lifetime of the run). [`TickMode::Rebuild`] implies request retention
-/// regardless of this flag, because rebuilding *is* re-folding the list.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MemoryPolicy {
-    /// Bin-buffer retention handed to the predictor's [`IncrementalSampler`].
-    pub retention: RetentionPolicy,
-    /// Opt-in (default off): retain the raw ingested request list even when
-    /// the tick mode never reads it.
-    pub retain_requests: bool,
-}
-
 /// Synchronous online predictor: accumulate requests, predict on demand.
+///
+/// The predictor holds one [`IncrementalSampler`] across ticks. New requests
+/// are folded into it at ingest time (`O(new requests)`), and every tick
+/// analyses a window *view* over its bin buffer, so a steady-state tick costs
+/// the same however much history has been collected. The raw requests are
+/// not kept.
 #[derive(Clone, Debug)]
 pub struct OnlinePredictor {
     config: FtioConfig,
     strategy: WindowStrategy,
-    mode: TickMode,
-    memory: MemoryPolicy,
-    trace: AppTrace,
-    /// Valid requests ingested so far — equals `trace.len()` when the request
-    /// list is retained, and keeps counting when it is not.
+    /// Valid requests ingested so far.
     requests_seen: usize,
     sampler: IncrementalSampler,
     history: Vec<FrequencyPrediction>,
@@ -132,55 +98,35 @@ pub struct OnlinePredictor {
 
 impl OnlinePredictor {
     /// Creates a predictor with the given analysis configuration and window
-    /// strategy, using the incremental tick path.
+    /// strategy, keeping every bin ([`RetentionPolicy::KeepAll`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the FTIO configuration is invalid.
     pub fn new(config: FtioConfig, strategy: WindowStrategy) -> Self {
-        Self::with_mode(config, strategy, TickMode::default())
+        Self::with_memory(config, strategy, RetentionPolicy::KeepAll)
     }
 
-    /// Creates a predictor with an explicit [`TickMode`].
-    pub fn with_mode(config: FtioConfig, strategy: WindowStrategy, mode: TickMode) -> Self {
-        Self::with_options(config, strategy, mode, MemoryPolicy::default())
-    }
-
-    /// Creates a predictor with a [`MemoryPolicy`] on the incremental path.
-    pub fn with_memory(config: FtioConfig, strategy: WindowStrategy, memory: MemoryPolicy) -> Self {
-        Self::with_options(config, strategy, TickMode::default(), memory)
-    }
-
-    /// Fully explicit constructor.
+    /// Creates a predictor whose sampler bounds its bin buffer with `memory`.
     ///
     /// # Panics
     ///
     /// Panics if the FTIO configuration or the retention policy is invalid.
-    pub fn with_options(
+    pub fn with_memory(
         config: FtioConfig,
         strategy: WindowStrategy,
-        mode: TickMode,
-        memory: MemoryPolicy,
+        memory: RetentionPolicy,
     ) -> Self {
         config.validate().expect("invalid FTIO configuration");
         OnlinePredictor {
             config,
             strategy,
-            mode,
-            memory,
-            trace: AppTrace::named("online", 0),
             requests_seen: 0,
-            sampler: IncrementalSampler::with_retention(config.sampling_freq, memory.retention),
+            sampler: IncrementalSampler::with_retention(config.sampling_freq, memory),
             history: Vec::new(),
             consecutive_dominant: 0,
             last_period: None,
         }
-    }
-
-    /// Whether the raw request list is kept (see [`MemoryPolicy`]).
-    fn retains_requests(&self) -> bool {
-        self.memory.retain_requests || self.mode == TickMode::Rebuild
-    }
-
-    /// The tick mode this predictor runs with.
-    pub fn tick_mode(&self) -> TickMode {
-        self.mode
     }
 
     /// Work counters of the held sampler (see [`SamplerStats`]): the
@@ -191,27 +137,13 @@ impl OnlinePredictor {
 
     /// Appends newly flushed requests (the data the application just wrote to
     /// its trace file). Each request is folded into the persistent sampler
-    /// (`O(bins overlapped)`); the raw request is retained only when the
-    /// [`MemoryPolicy`] (or the [`TickMode::Rebuild`] baseline) requires it.
+    /// (`O(bins overlapped)`).
     pub fn ingest<I: IntoIterator<Item = IoRequest>>(&mut self, requests: I) {
-        let retain = self.retains_requests();
         for request in requests {
             self.sampler.fold(&request);
             if request.is_valid() {
                 self.requests_seen += 1;
             }
-            if retain {
-                self.trace.push(request);
-            }
-        }
-    }
-
-    /// Appends all requests of another trace snapshot.
-    pub fn ingest_trace(&mut self, trace: &AppTrace) {
-        self.sampler.fold_all(trace.requests());
-        self.requests_seen += trace.len();
-        if self.retains_requests() {
-            self.trace.merge(trace);
         }
     }
 
@@ -228,15 +160,9 @@ impl OnlinePredictor {
         Ok(ingested)
     }
 
-    /// Number of valid requests collected so far (counted even when the raw
-    /// request list itself is not retained).
+    /// Number of valid requests collected so far.
     pub fn collected_requests(&self) -> usize {
         self.requests_seen
-    }
-
-    /// The memory policy this predictor runs with.
-    pub fn memory_policy(&self) -> MemoryPolicy {
-        self.memory
     }
 
     /// Read access to the held sampler — memory observability
@@ -268,25 +194,13 @@ impl OnlinePredictor {
 
     /// Runs a prediction over the data collected up to `now`.
     ///
-    /// Under [`TickMode::Incremental`] the discretised signal is a view over
-    /// the persistent bin buffer — nothing is re-derived from the request
-    /// history, so the sampling stage of the tick is `O(1)` in history length
-    /// (the spectral stage remains `O(window)`). Under [`TickMode::Rebuild`]
-    /// the signal is re-folded from every retained request, which is the
-    /// pre-incremental baseline cost.
+    /// The discretised signal is a view over the persistent bin buffer —
+    /// nothing is re-derived from the request history, so the sampling stage
+    /// of the tick is `O(1)` in history length (the spectral stage remains
+    /// `O(window)`).
     pub fn predict(&mut self, now: f64) -> OnlinePrediction {
         let (start, end) = self.window_at(now);
-        let signal = match self.mode {
-            TickMode::Incremental => self.sampler.view(start, end),
-            TickMode::Rebuild => {
-                let mut fresh = IncrementalSampler::with_retention(
-                    self.config.sampling_freq,
-                    self.memory.retention,
-                );
-                fresh.fold_all(self.trace.requests());
-                fresh.view(start, end)
-            }
-        };
+        let signal = self.sampler.view(start, end);
         let result = detect_signal(&signal, &self.config);
 
         match result.dominant_frequency() {
@@ -362,17 +276,11 @@ impl OnlinePredictor {
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         checkpoint::encode_config(out, &self.config);
         checkpoint::encode_strategy(out, &self.strategy);
-        checkpoint::encode_tick_mode(out, self.mode);
-        checkpoint::encode_memory_policy(out, &self.memory);
+        checkpoint::encode_tick_mode(out);
+        checkpoint::encode_memory_policy(out, &self.sampler.retention());
         write_uint(out, self.requests_seen as u64);
-        checkpoint::write_flag(out, self.retains_requests());
-        if self.retains_requests() {
-            write_uint(out, self.trace.metadata().num_ranks as u64);
-            write_array_header(out, self.trace.len());
-            for request in self.trace.requests() {
-                msgpack::encode_request(out, request);
-            }
-        }
+        // No request list follows.
+        checkpoint::write_flag(out, false);
         self.sampler.encode_state(out);
         write_array_header(out, self.history.len());
         for prediction in &self.history {
@@ -389,15 +297,16 @@ impl OnlinePredictor {
     pub(crate) fn decode_state(reader: &mut Reader<'_>) -> TraceResult<Self> {
         let config = checkpoint::decode_config(reader)?;
         let strategy = checkpoint::decode_strategy(reader)?;
-        let mode = checkpoint::decode_tick_mode(reader)?;
-        let memory = checkpoint::decode_memory_policy(reader)?;
+        checkpoint::decode_tick_mode(reader)?;
+        // The retention this slot holds is read again from the sampler state.
+        checkpoint::decode_memory_policy(reader)?;
         let requests_seen = checkpoint::read_count(reader, "request count")?;
-        let mut trace = AppTrace::named("online", 0);
         if checkpoint::read_flag(reader)? {
-            trace.metadata_mut().num_ranks = checkpoint::read_count(reader, "rank count")?;
-            let count = reader.read_array_header()?;
-            for _ in 0..count {
-                trace.push(msgpack::decode_request(reader)?);
+            // A raw request list, which older predictors could keep. Nothing
+            // reads it: the sampler state below already holds its bins.
+            checkpoint::read_count(reader, "rank count")?;
+            for _ in 0..reader.read_array_header()? {
+                msgpack::decode_request(reader)?;
             }
         }
         let sampler = IncrementalSampler::decode_state(reader)?;
@@ -422,9 +331,6 @@ impl OnlinePredictor {
         Ok(OnlinePredictor {
             config,
             strategy,
-            mode,
-            memory,
-            trace,
             requests_seen,
             sampler,
             history,
@@ -653,10 +559,10 @@ mod tests {
         assert!(predictor.history().len() >= 5);
     }
 
-    /// Tentpole contract: the incremental tick path and the rebuild-from-
-    /// scratch baseline produce **bit-for-bit identical** predictions across
-    /// every window strategy — both fold the same requests in the same order,
-    /// so the bin buffers, windows, spectra and verdicts coincide exactly.
+    /// Tentpole contract: every tick is **bit-for-bit** what rebuilding the
+    /// signal from scratch gives — a fresh sampler folded with every request
+    /// ingested so far, viewed over the tick's own window — across every window
+    /// strategy, since both fold the same requests in the same order.
     #[test]
     fn incremental_and_rebuild_ticks_are_bit_for_bit_identical() {
         use rand::rngs::StdRng;
@@ -674,26 +580,19 @@ mod tests {
                 sampling_freq: 2.0,
                 ..Default::default()
             };
-            let mut incremental =
-                OnlinePredictor::with_mode(config, strategy, TickMode::Incremental);
-            let mut rebuild = OnlinePredictor::with_mode(config, strategy, TickMode::Rebuild);
-            assert_eq!(incremental.tick_mode(), TickMode::Incremental);
-            assert_eq!(rebuild.tick_mode(), TickMode::Rebuild);
+            let mut predictor = OnlinePredictor::new(config, strategy);
+            let mut ingested = Vec::new();
             for i in 0..14 {
                 let start = i as f64 * 10.0 + rng.gen_range(-0.5..0.5);
                 let data = burst(start, 2.0, 1_500_000_000 + i as u64);
-                incremental.ingest(data.clone());
-                rebuild.ingest(data);
-                let now = start + 2.0;
-                let a = incremental.predict(now);
-                let b = rebuild.predict(now);
-                assert_eq!(a.window_start.to_bits(), b.window_start.to_bits());
-                assert_eq!(a.window_end.to_bits(), b.window_end.to_bits());
-                assert_eq!(a.result.num_samples, b.result.num_samples);
-                assert_eq!(
-                    a.result.window_start.to_bits(),
-                    b.result.window_start.to_bits()
-                );
+                ingested.extend_from_slice(&data);
+                predictor.ingest(data);
+                let a = predictor.predict(start + 2.0);
+                let mut rebuilt = IncrementalSampler::new(config.sampling_freq);
+                rebuilt.fold_all(&ingested);
+                let b = detect_signal(&rebuilt.view(a.window_start, a.window_end), &config);
+                assert_eq!(a.result.num_samples, b.num_samples);
+                assert_eq!(a.result.window_start.to_bits(), b.window_start.to_bits());
                 assert_eq!(
                     a.period().map(f64::to_bits),
                     b.period().map(f64::to_bits),
@@ -702,18 +601,67 @@ mod tests {
                 assert_eq!(a.confidence().to_bits(), b.confidence().to_bits());
                 assert_eq!(
                     a.result.refined_confidence().to_bits(),
-                    b.result.refined_confidence().to_bits()
+                    b.refined_confidence().to_bits()
                 );
             }
-            // The recorded FrequencyPrediction histories are identical too.
-            assert_eq!(incremental.history().len(), rebuild.history().len());
-            for (a, b) in incremental.history().iter().zip(rebuild.history()) {
-                assert_eq!(a.time.to_bits(), b.time.to_bits());
-                assert_eq!(a.frequency.to_bits(), b.frequency.to_bits());
-                assert_eq!(a.confidence.to_bits(), b.confidence.to_bits());
-                assert_eq!(a.window_length.to_bits(), b.window_length.to_bits());
-            }
         }
+    }
+
+    /// A snapshot may carry a raw request list (memory-slot flag 1,
+    /// request-list flag 1, a rank count, the requests), as predictors that
+    /// kept their requests wrote it. It restores to the same state, and the
+    /// restored predictor continues bit for bit.
+    #[test]
+    fn snapshots_that_carry_requests_still_restore() {
+        let mut live = OnlinePredictor::new(config(), WindowStrategy::Adaptive { multiple: 3 });
+        let mut ingested = Vec::new();
+        for i in 0..8 {
+            let data = burst(i as f64 * 10.0, 2.0, 1_000_000_000);
+            ingested.extend_from_slice(&data);
+            live.ingest(data);
+            live.predict(i as f64 * 10.0 + 2.0);
+        }
+        // The payload before the sampler state, with or without the list.
+        let head = |carry: bool| {
+            let mut out = Vec::new();
+            checkpoint::encode_config(&mut out, &live.config);
+            checkpoint::encode_strategy(&mut out, &live.strategy);
+            checkpoint::encode_tick_mode(&mut out);
+            checkpoint::encode_retention(&mut out, &live.sampler.retention());
+            checkpoint::write_flag(&mut out, carry);
+            write_uint(&mut out, live.requests_seen as u64);
+            checkpoint::write_flag(&mut out, carry);
+            if carry {
+                write_uint(&mut out, 4);
+                write_array_header(&mut out, ingested.len());
+                for request in &ingested {
+                    msgpack::encode_request(&mut out, request);
+                }
+            }
+            out
+        };
+        let mut state = Vec::new();
+        live.encode_state(&mut state);
+        let kept = head(false);
+        assert!(state.starts_with(&kept), "the payload layout moved");
+        let mut payload = Vec::new();
+        write_str(&mut payload, checkpoint::KIND_PREDICTOR);
+        payload.extend_from_slice(&head(true));
+        payload.extend_from_slice(&state[kept.len()..]);
+        let mut restored = OnlinePredictor::restore(&snapshot::seal(&payload)).unwrap();
+        assert_eq!(restored.snapshot(), live.snapshot());
+        for i in 8..14 {
+            let data = burst(i as f64 * 10.0, 2.0, 1_000_000_000);
+            live.ingest(data.clone());
+            restored.ingest(data);
+            let now = i as f64 * 10.0 + 2.0;
+            let (a, b) = (live.predict(now), restored.predict(now));
+            assert_eq!(a.window_start.to_bits(), b.window_start.to_bits());
+            assert_eq!(a.result.num_samples, b.result.num_samples);
+            assert_eq!(a.period().map(f64::to_bits), b.period().map(f64::to_bits));
+            assert_eq!(a.confidence().to_bits(), b.confidence().to_bits());
+        }
+        assert_eq!(restored.snapshot(), live.snapshot());
     }
 
     /// Tentpole counter contract: a steady-state tick folds only the newly

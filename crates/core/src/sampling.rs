@@ -154,42 +154,25 @@ pub struct SamplerStats {
 /// How an [`IncrementalSampler`] bounds the memory of its bin buffer over a
 /// long-horizon run.
 ///
-/// PR 5 made the prediction *tick* cost independent of history length; the
-/// bin buffer itself still grew forever. A retention policy caps it:
-///
-/// * [`KeepAll`](RetentionPolicy::KeepAll) — the historical behaviour: every
-///   fine bin is kept. Right for bounded traces and offline analysis.
+/// * [`KeepAll`](RetentionPolicy::KeepAll) — every bin is kept. Right for
+///   bounded traces and offline analysis, and what `ftio serve` runs with.
 /// * [`Ring`](RetentionPolicy::Ring) — a rolling window of the most recent
-///   `max_bins` fine bins; older bins are evicted and their volume is
-///   accounted in [`IncrementalSampler::dropped_volume`]. Right for the
-///   `fixed`/`adaptive` window strategies, which never look further back than
-///   their window anyway.
-/// * [`Pyramid`](RetentionPolicy::Pyramid) — a multi-resolution downsampling
-///   pyramid: the most recent `fine_bins` stay at full resolution, older
-///   epochs are folded pairwise into up to `levels` coarser planes (factor 2,
-///   4, 8, …). Volume is preserved exactly; only resolution degrades with
-///   age. Right for `full_history`, whose views still need the old epochs.
+///   `max_bins` bins; older bins are evicted and volume folded into them
+///   afterwards is accounted in [`IncrementalSampler::dropped_volume`]. Right
+///   for the `fixed`/`adaptive` window strategies, which never look further
+///   back than their window anyway.
 ///
 /// Eviction is deterministic (it runs as part of every fold), so retention
 /// preserves the sampler's bit-for-bit chunked-equals-one-shot contract.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RetentionPolicy {
-    /// Keep every fine bin forever (unbounded memory, exact history).
+    /// Keep every bin forever (unbounded memory, exact history).
     #[default]
     KeepAll,
-    /// Keep only the most recent `max_bins` fine bins; evict the rest.
+    /// Keep only the most recent `max_bins` bins; evict the rest.
     Ring {
-        /// Number of fine-resolution bins to retain (must be ≥ 1).
+        /// Number of bins to retain (must be ≥ 1).
         max_bins: usize,
-    },
-    /// Keep `fine_bins` recent bins at full resolution and downsample older
-    /// epochs through `levels` pairwise-merged coarse planes.
-    Pyramid {
-        /// Fine-resolution bins to retain (must be ≥ 2).
-        fine_bins: usize,
-        /// Number of coarse levels (must be in `1..=32`); the coarsest level
-        /// is unbounded but grows `2^levels`× slower than the fine plane.
-        levels: usize,
     },
 }
 
@@ -205,38 +188,7 @@ impl RetentionPolicy {
                     Ok(())
                 }
             }
-            RetentionPolicy::Pyramid { fine_bins, levels } => {
-                if fine_bins < 2 {
-                    Err("pyramid retention needs fine_bins >= 2".into())
-                } else if !(1..=32).contains(&levels) {
-                    Err("pyramid retention needs 1..=32 levels".into())
-                } else {
-                    Ok(())
-                }
-            }
         }
-    }
-}
-
-/// One coarse plane of the downsampling pyramid: `factor` consecutive fine
-/// bins merged into each coarse bin, covering the logical fine-bin range
-/// `[start, start + len·factor)` immediately before the next-finer plane.
-#[derive(Clone, Debug)]
-struct CoarseLevel {
-    /// Fine bins per coarse bin (2 for level 0, doubling per level).
-    factor: usize,
-    /// Logical fine-bin index of this level's first covered bin.
-    start: usize,
-    /// Summed transferred volume per coarse bin.
-    volume: Vec<f64>,
-    /// Summed point samples per coarse bin.
-    point: Vec<f64>,
-}
-
-impl CoarseLevel {
-    /// Logical fine-bin index one past this level's coverage.
-    fn end(&self) -> usize {
-        self.start + self.volume.len() * self.factor
     }
 }
 
@@ -273,23 +225,19 @@ pub struct IncrementalSampler {
     /// Whether the origin was fixed at construction: data before it is then
     /// clipped instead of extending the buffer backwards.
     anchored: bool,
-    /// Exact transferred volume (bytes) per retained fine bin.
+    /// Exact transferred volume (bytes) per retained bin.
     volume: Vec<f64>,
-    /// Instantaneous aggregate bandwidth at each retained fine bin's left edge.
+    /// Instantaneous aggregate bandwidth at each retained bin's left edge.
     point: Vec<f64>,
     /// Latest request end time folded so far.
     end_time: f64,
     stats: SamplerStats,
     /// Memory-bounding policy for the bin planes.
     retention: RetentionPolicy,
-    /// Logical fine-bin index of `volume[0]`: bins `[0, base)` have been
-    /// evicted (Ring) or merged into the pyramid. The origin stays the grid
-    /// anchor of logical bin 0, so bin edges never move.
+    /// Logical bin index of `volume[0]`: bins `[0, base)` have been evicted
+    /// by the Ring policy. The origin stays the grid anchor of logical bin 0,
+    /// so bin edges never move. `base + volume.len()` never overflows.
     base: usize,
-    /// Coarse history planes, ordered finest (factor 2, adjacent to the fine
-    /// plane) to coarsest. Contiguous: `pyramid[0].end() == base` and
-    /// `pyramid[i+1].end() == pyramid[i].start`.
-    pyramid: Vec<CoarseLevel>,
     /// Volume (bytes) of folded data that fell before the retained window and
     /// was dropped by the Ring policy rather than binned.
     dropped_volume: f64,
@@ -333,7 +281,6 @@ impl IncrementalSampler {
             stats: SamplerStats::default(),
             retention,
             base: 0,
-            pyramid: Vec::new(),
             dropped_volume: 0.0,
             peak_bytes: 0,
         }
@@ -401,15 +348,10 @@ impl IncrementalSampler {
         self.retention
     }
 
-    /// Current heap footprint of the bin planes in bytes (fine planes plus
-    /// every pyramid level, counting allocated capacity, not just length).
+    /// Current heap footprint of the bin planes in bytes (counting allocated
+    /// capacity, not just length).
     pub fn bin_buffer_bytes(&self) -> usize {
-        let f64_size = std::mem::size_of::<f64>();
-        let mut bytes = (self.volume.capacity() + self.point.capacity()) * f64_size;
-        for level in &self.pyramid {
-            bytes += (level.volume.capacity() + level.point.capacity()) * f64_size;
-        }
-        bytes
+        (self.volume.capacity() + self.point.capacity()) * std::mem::size_of::<f64>()
     }
 
     /// High-water mark of [`bin_buffer_bytes`](Self::bin_buffer_bytes) over
@@ -419,31 +361,18 @@ impl IncrementalSampler {
     }
 
     /// Volume (bytes) dropped by the Ring policy because it fell before the
-    /// retained window. Always 0 under `KeepAll` and `Pyramid`.
+    /// retained window. Always 0 under `KeepAll`.
     pub fn dropped_volume(&self) -> f64 {
         self.dropped_volume
     }
 
-    /// Absolute time of the oldest instant still represented (at any
-    /// resolution). Equals [`start_time`](Self::start_time) until eviction
-    /// discards history.
+    /// Absolute time of the oldest instant still represented. Equals
+    /// [`start_time`](Self::start_time) until eviction discards history.
     pub fn retained_start_time(&self) -> f64 {
         match self.origin {
-            Some(origin) => origin + self.coverage_start_bin() as f64 / self.sampling_freq,
+            Some(origin) => origin + self.base as f64 / self.sampling_freq,
             None => 0.0,
         }
-    }
-
-    /// Logical index of the oldest bin still represented: the coarsest
-    /// non-empty pyramid level's start, else the fine plane's base.
-    fn coverage_start_bin(&self) -> usize {
-        let mut start = self.base;
-        for level in &self.pyramid {
-            if !level.volume.is_empty() {
-                start = level.start;
-            }
-        }
-        start
     }
 
     /// Folds one request into the bin buffer: `O(bins overlapped)`.
@@ -538,108 +467,19 @@ impl IncrementalSampler {
                     self.base += evict;
                 }
             }
-            RetentionPolicy::Pyramid { fine_bins, levels } => {
-                if self.volume.len() > fine_bins + Self::retention_slack(fine_bins) {
-                    // Merge whole pairs only, so coarse bins always cover
-                    // exactly `factor` fine bins.
-                    let evict = (self.volume.len() - fine_bins) & !1;
-                    if evict > 0 {
-                        self.spill_fine(evict);
-                    }
-                }
-                // Cascade: every level but the coarsest spills pairwise into
-                // the next level when it outgrows the same cap.
-                for level in 0..self.pyramid.len() {
-                    if level + 1 < levels
-                        && self.pyramid[level].volume.len()
-                            > fine_bins + Self::retention_slack(fine_bins)
-                    {
-                        let evict = (self.pyramid[level].volume.len() - fine_bins) & !1;
-                        if evict > 0 {
-                            self.spill_level(level, evict);
-                        }
-                    }
-                }
-            }
         }
     }
 
-    /// Moves the oldest `evict` fine bins (an even count) into pyramid level
-    /// 0, merging pairs.
-    fn spill_fine(&mut self, evict: usize) {
-        debug_assert!(evict % 2 == 0 && evict <= self.volume.len());
-        if self.pyramid.is_empty() {
-            self.pyramid.push(CoarseLevel {
-                factor: 2,
-                start: self.base,
-                volume: Vec::new(),
-                point: Vec::new(),
-            });
-        }
-        let level = &mut self.pyramid[0];
-        debug_assert_eq!(level.end(), self.base, "pyramid/fine contiguity");
-        for pair in self.volume[..evict].chunks_exact(2) {
-            level.volume.push(pair[0] + pair[1]);
-        }
-        for pair in self.point[..evict].chunks_exact(2) {
-            level.point.push(pair[0] + pair[1]);
-        }
-        self.volume.drain(..evict);
-        self.point.drain(..evict);
-        self.base += evict;
-    }
-
-    /// Moves the oldest `evict` coarse bins (an even count) of pyramid level
-    /// `index` into level `index + 1`, merging pairs.
-    fn spill_level(&mut self, index: usize, evict: usize) {
-        debug_assert!(evict % 2 == 0 && evict <= self.pyramid[index].volume.len());
-        if index + 1 == self.pyramid.len() {
-            let coarser = CoarseLevel {
-                factor: self.pyramid[index].factor * 2,
-                start: self.pyramid[index].start,
-                volume: Vec::new(),
-                point: Vec::new(),
-            };
-            self.pyramid.push(coarser);
-        }
-        let (finer, coarser) = {
-            let (head, tail) = self.pyramid.split_at_mut(index + 1);
-            (&mut head[index], &mut tail[0])
-        };
-        debug_assert_eq!(coarser.end(), finer.start, "pyramid level contiguity");
-        for pair in finer.volume[..evict].chunks_exact(2) {
-            coarser.volume.push(pair[0] + pair[1]);
-        }
-        for pair in finer.point[..evict].chunks_exact(2) {
-            coarser.point.push(pair[0] + pair[1]);
-        }
-        finer.volume.drain(..evict);
-        finer.point.drain(..evict);
-        finer.start += evict * finer.factor;
-    }
-
-    /// The (volume, point) planes of logical bin `b`, resolving evicted bins
-    /// through the pyramid (a coarse bin's value is spread evenly across the
-    /// fine bins it covers, preserving volume) and reading uncovered bins as
-    /// zero.
+    /// The (volume, point) planes of logical bin `b`, reading evicted and
+    /// uncovered bins as zero.
     fn bin_planes(&self, b: usize) -> (f64, f64) {
         if b >= self.base {
             let i = b - self.base;
             if i < self.volume.len() {
-                (self.volume[i], self.point[i])
-            } else {
-                (0.0, 0.0)
+                return (self.volume[i], self.point[i]);
             }
-        } else {
-            for level in &self.pyramid {
-                if b >= level.start && b < level.end() {
-                    let i = (b - level.start) / level.factor;
-                    let factor = level.factor as f64;
-                    return (level.volume[i] / factor, level.point[i] / factor);
-                }
-            }
-            (0.0, 0.0)
         }
+        (0.0, 0.0)
     }
 
     /// Folds a batch of requests in order.
@@ -676,12 +516,10 @@ impl IncrementalSampler {
     /// A view over **every** bin still represented, including a partial
     /// trailing bin (its averaged bandwidth covers only the recorded
     /// fraction) — so under `KeepAll` the viewed volume equals the total
-    /// folded volume exactly. Under `Pyramid` the view starts at the coarsest
-    /// retained epoch (volume still exact, resolution degraded); under `Ring`
-    /// it starts at the retained window (evicted volume is reported in
-    /// [`dropped_volume`](Self::dropped_volume), not zero-padded).
+    /// folded volume exactly. Under `Ring` it starts at the retained window
+    /// (evicted volume is not zero-padded).
     pub fn full_view(&self) -> SampledSignal {
-        self.view_bins(self.coverage_start_bin(), self.base + self.volume.len())
+        self.view_bins(self.base, self.base + self.volume.len())
     }
 
     /// The bin-range core of [`IncrementalSampler::view`]; `first..last` are
@@ -711,9 +549,9 @@ impl IncrementalSampler {
         }
     }
 
-    /// Serialises the full sampler state (grid anchor, both planes, pyramid,
-    /// counters) as msgpack for [`crate::checkpoint`] snapshots. Floats are
-    /// written bit-exactly, so a decoded sampler continues bit-for-bit.
+    /// Serialises the full sampler state (grid anchor, both planes, counters)
+    /// as msgpack for [`crate::checkpoint`] snapshots. Floats are written
+    /// bit-exactly, so a decoded sampler continues bit-for-bit.
     pub(crate) fn encode_state(&self, out: &mut Vec<u8>) {
         write_f64(out, self.sampling_freq);
         checkpoint::write_opt_f64(out, self.origin);
@@ -726,13 +564,9 @@ impl IncrementalSampler {
         write_f64(out, self.dropped_volume);
         checkpoint::write_f64_slice(out, &self.volume);
         checkpoint::write_f64_slice(out, &self.point);
-        write_array_header(out, self.pyramid.len());
-        for level in &self.pyramid {
-            write_uint(out, level.factor as u64);
-            write_uint(out, level.start as u64);
-            checkpoint::write_f64_slice(out, &level.volume);
-            checkpoint::write_f64_slice(out, &level.point);
-        }
+        // An empty coarse-level list: the snapshot layout keeps the slot, and
+        // decoding rejects a non-empty one.
+        write_array_header(out, 0);
     }
 
     /// Decodes a sampler state written by [`encode_state`](Self::encode_state).
@@ -768,31 +602,21 @@ impl IncrementalSampler {
                 ),
             ));
         }
+        if base.checked_add(volume.len()).is_none() {
+            return Err(checkpoint::err_at(
+                reader,
+                format!(
+                    "bin range {base} + {} overflows the bin index",
+                    volume.len()
+                ),
+            ));
+        }
         let level_count = reader.read_array_header()?;
-        let mut pyramid = Vec::with_capacity(level_count.min(64));
-        for _ in 0..level_count {
-            let factor = checkpoint::read_count(reader, "pyramid factor")?;
-            if factor < 2 {
-                return Err(checkpoint::err_at(
-                    reader,
-                    format!("pyramid factor {factor} must be at least 2"),
-                ));
-            }
-            let start = checkpoint::read_count(reader, "pyramid level start")?;
-            let level_volume = checkpoint::read_f64_vec(reader)?;
-            let level_point = checkpoint::read_f64_vec(reader)?;
-            if level_volume.len() != level_point.len() {
-                return Err(checkpoint::err_at(
-                    reader,
-                    "pyramid level plane length mismatch",
-                ));
-            }
-            pyramid.push(CoarseLevel {
-                factor,
-                start,
-                volume: level_volume,
-                point: level_point,
-            });
+        if level_count != 0 {
+            return Err(checkpoint::err_at(
+                reader,
+                format!("unsupported pyramid of {level_count} coarse levels"),
+            ));
         }
         let mut sampler = IncrementalSampler {
             sampling_freq,
@@ -804,7 +628,6 @@ impl IncrementalSampler {
             stats,
             retention,
             base,
-            pyramid,
             dropped_volume,
             peak_bytes: 0,
         };
@@ -1250,80 +1073,30 @@ mod tests {
     }
 
     #[test]
-    fn pyramid_preserves_total_volume_at_degraded_resolution() {
-        let mut pyramid = IncrementalSampler::with_retention(
-            1.0,
-            RetentionPolicy::Pyramid {
-                fine_bins: 64,
-                levels: 3,
-            },
-        );
-        let mut keep_all = IncrementalSampler::new(1.0);
-        let mut total = 0.0f64;
-        for i in 0..3000usize {
-            let start = i as f64 * 5.0;
-            let r = IoRequest::write(0, start, start + 1.5, 4321);
-            pyramid.fold(&r);
-            keep_all.fold(&r);
-            total += 4321.0;
-        }
-        // Nothing is ever dropped: old epochs are merged, not discarded.
-        assert_eq!(pyramid.dropped_volume(), 0.0);
-        let full = pyramid.full_view();
-        assert!(
-            (full.volume() - total).abs() / total < 1e-9,
-            "pyramid volume {} vs {}",
-            full.volume(),
-            total
-        );
-        // Coverage still reaches back to the very first bin…
-        assert_eq!(full.start_time, pyramid.start_time());
-        assert_eq!(pyramid.retained_start_time(), pyramid.start_time());
-        // …but memory is far below the unbounded sampler (15000 bins): the
-        // fine plane plus 3 coarse levels, the coarsest growing 8× slower.
-        assert!(pyramid.bin_buffer_bytes() < keep_all.bin_buffer_bytes() / 3);
-        // Recent bins are still exact.
-        let t1 = keep_all.end_time();
-        let a = pyramid.view(t1 - 30.0, t1);
-        let b = keep_all.view(t1 - 30.0, t1);
-        for (i, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "recent bin {i}");
-        }
-    }
-
-    #[test]
     fn retention_is_deterministic_across_chunk_boundaries() {
         let trace = bursty_trace(3.0, 0.8, 600, 999);
-        for retention in [
-            RetentionPolicy::Ring { max_bins: 48 },
-            RetentionPolicy::Pyramid {
-                fine_bins: 32,
-                levels: 2,
-            },
-        ] {
-            let mut one_shot = IncrementalSampler::with_retention(2.0, retention);
-            one_shot.fold_all(trace.requests());
-            let mut chunked = IncrementalSampler::with_retention(2.0, retention);
-            let mut rest = trace.requests();
-            for chunk_len in [1usize, 13, 113, 7, 301] {
-                let take = chunk_len.min(rest.len());
-                chunked.fold_all(&rest[..take]);
-                rest = &rest[take..];
-            }
-            chunked.fold_all(rest);
-            let a = one_shot.full_view();
-            let b = chunked.full_view();
-            assert_eq!(a.samples.len(), b.samples.len(), "{retention:?}");
-            for (i, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{retention:?} bin {i}");
-            }
-            assert_eq!(one_shot.stats(), chunked.stats(), "{retention:?}");
-            assert_eq!(
-                one_shot.dropped_volume().to_bits(),
-                chunked.dropped_volume().to_bits(),
-                "{retention:?}"
-            );
+        let retention = RetentionPolicy::Ring { max_bins: 48 };
+        let mut one_shot = IncrementalSampler::with_retention(2.0, retention);
+        one_shot.fold_all(trace.requests());
+        let mut chunked = IncrementalSampler::with_retention(2.0, retention);
+        let mut rest = trace.requests();
+        for chunk_len in [1usize, 13, 113, 7, 301] {
+            let take = chunk_len.min(rest.len());
+            chunked.fold_all(&rest[..take]);
+            rest = &rest[take..];
         }
+        chunked.fold_all(rest);
+        let a = one_shot.full_view();
+        let b = chunked.full_view();
+        assert_eq!(a.samples.len(), b.samples.len());
+        for (i, (x, y)) in a.samples.iter().zip(&b.samples).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "bin {i}");
+        }
+        assert_eq!(one_shot.stats(), chunked.stats());
+        assert_eq!(
+            one_shot.dropped_volume().to_bits(),
+            chunked.dropped_volume().to_bits()
+        );
     }
 
     #[test]
@@ -1333,10 +1106,6 @@ mod tests {
         for retention in [
             RetentionPolicy::KeepAll,
             RetentionPolicy::Ring { max_bins: 40 },
-            RetentionPolicy::Pyramid {
-                fine_bins: 32,
-                levels: 3,
-            },
         ] {
             let mut live = IncrementalSampler::with_retention(2.0, retention);
             live.fold_all(head);
@@ -1347,6 +1116,22 @@ mod tests {
             assert!(reader.is_at_end(), "{retention:?}: trailing bytes");
             assert_eq!(restored.retention(), retention);
             assert_eq!(restored.stats(), live.stats());
+            // A pyramid level list (the last byte is its empty header) and a
+            // bin range past the largest index are positioned errors, not
+            // panics in a later fold or view.
+            let rejection =
+                |bytes: &[u8]| match IncrementalSampler::decode_state(&mut Reader::new(bytes)) {
+                    Err(ftio_trace::TraceError::Malformed { reason, .. }) => reason,
+                    other => panic!("{retention:?}: expected a positioned error, got {other:?}"),
+                };
+            bytes.pop();
+            write_array_header(&mut bytes, 1);
+            assert!(rejection(&bytes).contains("pyramid"), "{retention:?}");
+            let mut overflowing = live.clone();
+            overflowing.base = usize::MAX - 1;
+            let mut bytes = Vec::new();
+            overflowing.encode_state(&mut bytes);
+            assert!(rejection(&bytes).contains("overflows"), "{retention:?}");
             // Continue folding on both sides: bit-for-bit equivalence.
             live.fold_all(tail);
             restored.fold_all(tail);

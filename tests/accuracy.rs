@@ -17,8 +17,8 @@
 
 use ftio_core::eval::{score_predictions, EvalConfig, EvalReport};
 use ftio_core::{
-    detect_trace, AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig,
-    OnlinePrediction, OnlinePredictor, Pacing, TickMode, WindowStrategy,
+    detect_signal, detect_trace, AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine,
+    FtioConfig, IncrementalSampler, OnlinePrediction, OnlinePredictor, Pacing, WindowStrategy,
 };
 use ftio_synth::drift::{self, all_scenarios, scenario_for, DriftConfig, Scenario, ScenarioFamily};
 use ftio_synth::ior::PhaseLibrary;
@@ -207,12 +207,8 @@ fn eval_strategy() -> WindowStrategy {
 
 /// Drives one application's flush schedule through the synchronous online
 /// predictor (one prediction per flush, at the flush time).
-fn run_scenario_predictor(
-    scenario: &Scenario,
-    app: AppId,
-    mode: TickMode,
-) -> Vec<OnlinePrediction> {
-    let mut predictor = OnlinePredictor::with_mode(eval_analysis_config(), eval_strategy(), mode);
+fn run_scenario_predictor(scenario: &Scenario, app: AppId) -> Vec<OnlinePrediction> {
+    let mut predictor = OnlinePredictor::new(eval_analysis_config(), eval_strategy());
     let mut predictions = Vec::new();
     for flush in scenario.flushes.iter().filter(|f| f.app == app) {
         predictor.ingest(flush.requests.iter().copied());
@@ -379,7 +375,7 @@ fn adversarial_baselines_hold_for_every_family() {
     for baseline in baselines() {
         let scenario = scenario_for(baseline.family, EVAL_SEED);
         for app in scenario.apps() {
-            let predictions = run_scenario_predictor(&scenario, app, TickMode::Incremental);
+            let predictions = run_scenario_predictor(&scenario, app);
             let report = score_scenario_app(&scenario, app, &predictions);
             let label = format!("{} [{app}]", scenario.name);
             assert_baseline(&report, &baseline, &label);
@@ -395,7 +391,7 @@ fn adversarial_drift_is_the_worst_family() {
     let fraction = |family: ScenarioFamily| {
         let scenario = scenario_for(family, EVAL_SEED);
         let app = scenario.apps()[0];
-        let predictions = run_scenario_predictor(&scenario, app, TickMode::Incremental);
+        let predictions = run_scenario_predictor(&scenario, app);
         score_scenario_app(&scenario, app, &predictions).locked_fraction
     };
     let drift = fraction(ScenarioFamily::Drift);
@@ -421,7 +417,7 @@ fn adversarial_cluster_replay_matches_the_synchronous_predictor() {
     for scenario in all_scenarios(EVAL_SEED) {
         let engine_runs = run_scenario_engine(&scenario);
         for (app, engine_predictions) in engine_runs {
-            let sync_predictions = run_scenario_predictor(&scenario, app, TickMode::Incremental);
+            let sync_predictions = run_scenario_predictor(&scenario, app);
             let label = format!("{} [{app}]", scenario.name);
             assert_eq!(
                 engine_predictions.len(),
@@ -455,10 +451,10 @@ fn adversarial_cluster_replay_matches_the_synchronous_predictor() {
     }
 }
 
-/// PR 5 pinned incremental-vs-rebuild equivalence on steady workloads; the
-/// adversarial corpus must not break it: drifting periods and out-of-order
-/// request arrival (late flushes carrying earlier requests) fold into the
-/// persistent sampler exactly as a full rebuild would.
+/// Incremental-vs-rebuild equivalence must hold on the adversarial corpus
+/// too: under drifting periods and out-of-order request arrival (late flushes
+/// carrying earlier requests), every tick is bit for bit what a fresh sampler
+/// folded with every request so far gives over the tick's own window.
 #[test]
 fn incremental_and_rebuild_agree_on_drift_and_out_of_order_flushes() {
     let scenario = drift::drift(&DriftConfig::default());
@@ -485,29 +481,23 @@ fn incremental_and_rebuild_agree_on_drift_and_out_of_order_flushes() {
     }
     schedules.push(delayed);
 
+    let config = eval_analysis_config();
     for (variant, schedule) in schedules.iter().enumerate() {
-        let mut incremental = OnlinePredictor::with_mode(
-            eval_analysis_config(),
-            eval_strategy(),
-            TickMode::Incremental,
-        );
-        let mut rebuild =
-            OnlinePredictor::with_mode(eval_analysis_config(), eval_strategy(), TickMode::Rebuild);
+        let mut incremental = OnlinePredictor::new(config, eval_strategy());
+        let mut ingested = Vec::new();
         for (i, (requests, now)) in schedule.iter().enumerate() {
             incremental.ingest(requests.iter().copied());
-            rebuild.ingest(requests.iter().copied());
+            ingested.extend_from_slice(requests);
             let a = incremental.predict(*now);
-            let b = rebuild.predict(*now);
+            let mut rebuilt = IncrementalSampler::new(config.sampling_freq);
+            rebuilt.fold_all(&ingested);
+            let b = detect_signal(&rebuilt.view(a.window_start, a.window_end), &config);
             let label = format!("variant {variant} [{app}] tick {i}");
+            assert_eq!(a.result.num_samples, b.num_samples, "{label}: samples");
             assert_eq!(
-                a.window_start.to_bits(),
+                a.result.window_start.to_bits(),
                 b.window_start.to_bits(),
                 "{label}: window start"
-            );
-            assert_eq!(
-                a.window_end.to_bits(),
-                b.window_end.to_bits(),
-                "{label}: window end"
             );
             assert_eq!(
                 a.period().map(f64::to_bits),
@@ -521,15 +511,9 @@ fn incremental_and_rebuild_agree_on_drift_and_out_of_order_flushes() {
             );
             assert_eq!(
                 a.result.refined_confidence().to_bits(),
-                b.result.refined_confidence().to_bits(),
+                b.refined_confidence().to_bits(),
                 "{label}: refined confidence"
             );
-        }
-        // Same full history on both sides.
-        assert_eq!(incremental.history().len(), rebuild.history().len());
-        for (x, y) in incremental.history().iter().zip(rebuild.history()) {
-            assert_eq!(x.frequency.to_bits(), y.frequency.to_bits());
-            assert_eq!(x.confidence.to_bits(), y.confidence.to_bits());
         }
     }
 }
@@ -622,7 +606,7 @@ fn adversarial_stress_drift_long_horizon() {
         ..Default::default()
     });
     let app = scenario.apps()[0];
-    let predictions = run_scenario_predictor(&scenario, app, TickMode::Incremental);
+    let predictions = run_scenario_predictor(&scenario, app);
     let report = score_scenario_app(&scenario, app, &predictions);
     assert_eq!(report.ticks.len(), 160);
     let lock_on = report

@@ -16,8 +16,8 @@
 //!   positioned [`TraceError`]; they never panic and never restore silently.
 
 use ftio_core::{
-    ClusterConfig, ClusterEngine, FtioConfig, MemoryPolicy, OnlinePredictor, Pacing,
-    RetentionPolicy, WindowStrategy,
+    ClusterConfig, ClusterEngine, FtioConfig, OnlinePredictor, Pacing, RetentionPolicy,
+    WindowStrategy,
 };
 use ftio_synth::scenarios::{long_history_burst, long_history_requests, LongHistoryConfig};
 use ftio_trace::snapshot::HEADER_LEN;
@@ -56,10 +56,7 @@ fn long_history(bursts: usize) -> (LongHistoryConfig, Vec<ftio_trace::IoRequest>
 /// ingest → retention → windowed-detection path runs for every sweep point.
 #[test]
 fn ring_retention_keeps_predictor_memory_flat_across_8x_history_sweep() {
-    let memory = MemoryPolicy {
-        retention: RetentionPolicy::Ring { max_bins: 512 },
-        retain_requests: false,
-    };
+    let memory = RetentionPolicy::Ring { max_bins: 512 };
     let mut ring_peaks = Vec::new();
     let mut keep_all_peaks = Vec::new();
     for scale in [1usize, 2, 4, 8] {
@@ -83,7 +80,7 @@ fn ring_retention_keeps_predictor_memory_flat_across_8x_history_sweep() {
         let mut keep_all = OnlinePredictor::with_memory(
             analysis_config(),
             WindowStrategy::Fixed { length: 120.0 },
-            MemoryPolicy::default(),
+            RetentionPolicy::KeepAll,
         );
         keep_all.ingest(requests.iter().copied());
         keep_all.predict(span);
