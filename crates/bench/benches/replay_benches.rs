@@ -6,9 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use ftio_core::{
-    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, Pacing, WindowStrategy,
-};
+use ftio_core::{BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, WindowStrategy};
 use ftio_synth::multi_app::{MultiAppConfig, MultiAppWorkload};
 use ftio_trace::source::{from_bytes, MemorySource};
 use ftio_trace::{jsonl, msgpack, tmio, AppId, IoRequest, SourceFormat};
@@ -48,9 +46,7 @@ fn replay_bytes(format: SourceFormat, bytes: &[u8]) -> u64 {
     let mut source =
         from_bytes(format, AppId::new(1), bytes.to_vec(), 256).expect("benchmark bytes decode");
     let engine = ClusterEngine::spawn(engine_config(2));
-    let stats = engine
-        .replay(source.as_mut(), Pacing::AsFast)
-        .expect("replay");
+    let stats = engine.replay(source.as_mut()).expect("replay");
     engine.finish();
     stats.requests
 }
@@ -104,7 +100,7 @@ fn bench_replay_shards(c: &mut Criterion) {
             b.iter(|| {
                 let mut source = source.clone();
                 let engine = ClusterEngine::spawn(engine_config(shards));
-                let stats = engine.replay(&mut source, Pacing::AsFast).expect("replay");
+                let stats = engine.replay(&mut source).expect("replay");
                 engine.finish();
                 black_box(stats.requests)
             });

@@ -12,7 +12,7 @@
 use ftio_core::eval::{render_report, score_predictions, EvalConfig, EvalReport};
 use ftio_core::{
     AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction,
-    OnlinePredictor, Pacing, WindowStrategy,
+    OnlinePredictor, WindowStrategy,
 };
 use ftio_synth::drift::{all_scenarios, scenario_by_name, Scenario, ScenarioFamily};
 use ftio_trace::AppId;
@@ -183,7 +183,7 @@ pub fn run_engine(
     let events = engine.subscribe(None);
     let mut source = scenario.to_source();
     engine
-        .replay(&mut source, Pacing::AsFast)
+        .replay(&mut source)
         .expect("memory source cannot fail");
     engine.flush();
     let mut runs = AppPredictions::new();

@@ -20,8 +20,8 @@ use std::str::FromStr;
 
 use ftio_core::{FtioConfig, OnlinePrediction};
 use ftio_synth::hacc::{generate as generate_hacc, HaccConfig};
-use ftio_trace::source::{drain_single, open_path_as, DrainedInput, SourceFormat};
-use ftio_trace::{AppTrace, Heatmap};
+use ftio_trace::source::{drain_single, open_path, SourceFormat, DEFAULT_BATCH_SIZE};
+use ftio_trace::AppTrace;
 
 /// Options shared by the detection tools.
 #[derive(Clone, Debug, Default)]
@@ -39,14 +39,9 @@ pub struct CliOptions {
     pub demo: bool,
 }
 
-/// A successfully loaded input.
-#[derive(Debug)]
-pub enum LoadedInput {
-    /// Request-level trace.
-    Trace(AppTrace),
-    /// Darshan-style heatmap.
-    Heatmap(Heatmap),
-}
+/// A successfully loaded input: a request-level trace or a Darshan-style
+/// heatmap.
+pub use ftio_trace::source::DrainedInput as LoadedInput;
 
 /// The `--format` values accepted by the tools.
 pub const FORMAT_HELP: &str =
@@ -277,12 +272,9 @@ pub fn load_trace(options: &CliOptions) -> Result<LoadedInput, String> {
     if !Path::new(path).exists() {
         return Err(format!("cannot read `{path}`: no such file"));
     }
-    let (_, mut source) =
-        open_path_as(Path::new(path), options.format).map_err(|e| e.to_string())?;
-    match drain_single(source.as_mut(), path).map_err(|e| e.to_string())? {
-        DrainedInput::Trace(trace) => Ok(LoadedInput::Trace(trace)),
-        DrainedInput::Heatmap(heatmap) => Ok(LoadedInput::Heatmap(heatmap)),
-    }
+    let (_, mut source) = open_path(Path::new(path), options.format, DEFAULT_BATCH_SIZE)
+        .map_err(|e| e.to_string())?;
+    drain_single(source.as_mut(), path).map_err(|e| e.to_string())
 }
 
 /// The demo workload: a HACC-IO-shaped run with ten periodic I/O phases.
@@ -298,7 +290,7 @@ pub fn demo_flush_points() -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftio_trace::{jsonl, msgpack};
+    use ftio_trace::{jsonl, msgpack, Heatmap};
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

@@ -13,13 +13,48 @@ use std::path::Path;
 use std::time::Instant;
 
 use ftio_core::{
-    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, Pacing, ReplayStats,
-    WindowStrategy,
+    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, ReplayStats, WindowStrategy,
 };
-use ftio_trace::source::{open_path_sized, DEFAULT_BATCH_SIZE};
+use ftio_trace::source::{open_path, DEFAULT_BATCH_SIZE};
 use ftio_trace::SourceFormat;
 
 use crate::{next_value, parse_flag, parse_format};
+
+/// How `ftio replay` paces submissions relative to the recorded timeline of
+/// the source.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Pacing {
+    /// Push batches as fast as the backpressure policy admits them —
+    /// benchmark/batch mode.
+    AsFast,
+    /// Follow the recorded timestamps, accelerated by `speedup` (1.0 replays
+    /// in real time, 60.0 replays an hour of trace per minute). The producer
+    /// sleeps between submissions so the engine sees the recorded arrival
+    /// pattern.
+    Recorded {
+        /// Time-compression factor (must be positive).
+        speedup: f64,
+    },
+}
+
+impl Pacing {
+    /// Parses a `--pacing` value: `as-fast` or `recorded[:<speedup>]`.
+    pub fn parse(s: &str) -> Option<Self> {
+        let lower = s.to_ascii_lowercase();
+        match lower.as_str() {
+            "as-fast" | "asfast" | "fast" => Some(Pacing::AsFast),
+            "recorded" | "realtime" | "real-time" => Some(Pacing::Recorded { speedup: 1.0 }),
+            _ => {
+                let speedup: f64 = lower.strip_prefix("recorded:")?.parse().ok()?;
+                if speedup.is_finite() && speedup > 0.0 {
+                    Some(Pacing::Recorded { speedup })
+                } else {
+                    None
+                }
+            }
+        }
+    }
+}
 
 /// Options of the `ftio replay` subcommand.
 #[derive(Clone, Debug)]
@@ -202,7 +237,7 @@ fn write_checkpoint(engine: &ClusterEngine, path: &str, progress: u64) -> Result
 /// exactly where the interrupted one stopped and produces the same
 /// predictions an uninterrupted run would.
 pub fn run_replay(options: &ReplayCliOptions) -> Result<String, String> {
-    let (format, mut source) = open_path_sized(
+    let (format, mut source) = open_path(
         Path::new(&options.input),
         options.format,
         options.batch_size,
@@ -236,10 +271,10 @@ pub fn run_replay(options: &ReplayCliOptions) -> Result<String, String> {
     };
 
     let started = Instant::now();
-    // The checkpoint/limit machinery needs batch-level control, so the loop
-    // mirrors `ClusterEngine::replay` instead of delegating to it. `progress`
-    // counts every batch pulled from the source (including empty ones), which
-    // is the position a later `--resume` fast-forwards to.
+    // Pacing and the checkpoint/limit machinery need batch-level control, so
+    // the loop mirrors `ClusterEngine::replay` instead of delegating to it.
+    // `progress` counts every batch pulled from the source (including empty
+    // ones), which is the position a later `--resume` fast-forwards to.
     let mut replay = ReplayStats::default();
     let mut progress: u64 = 0;
     let mut checkpoints_written: u64 = 0;
@@ -420,6 +455,65 @@ mod tests {
         assert_eq!(options.checkpoint, None);
         assert_eq!(options.checkpoint_every, None);
         assert_eq!(options.resume, None);
+    }
+
+    #[test]
+    fn pacing_names_parse() {
+        assert_eq!(Pacing::parse("as-fast"), Some(Pacing::AsFast));
+        assert_eq!(Pacing::parse("AsFast"), Some(Pacing::AsFast));
+        assert_eq!(
+            Pacing::parse("recorded"),
+            Some(Pacing::Recorded { speedup: 1.0 })
+        );
+        assert_eq!(
+            Pacing::parse("recorded:50"),
+            Some(Pacing::Recorded { speedup: 50.0 })
+        );
+        assert_eq!(Pacing::parse("recorded:0"), None);
+        assert_eq!(Pacing::parse("recorded:-3"), None);
+        assert_eq!(Pacing::parse("warp"), None);
+    }
+
+    /// Recorded pacing preserves results (the sleeps only shape arrival
+    /// times): both reports match apart from the header naming the pacing and
+    /// the wall-time line.
+    #[test]
+    fn replay_recorded_pacing_matches_as_fast_results() {
+        let mut requests = Vec::new();
+        for tick in 0..5 {
+            let start = tick as f64 * 12.0;
+            for rank in 0..2 {
+                requests.push(IoRequest::write(rank, start, start + 2.0, 1_500_000_000));
+            }
+        }
+        let path = std::env::temp_dir().join("ftio_replay_pacing_test.jsonl");
+        std::fs::write(&path, jsonl::encode_requests(&requests)).unwrap();
+        let run = |pacing: Pacing| {
+            let options = ReplayCliOptions {
+                input: path.to_str().unwrap().to_string(),
+                shards: 1,
+                batch: 1,
+                batch_size: 2,
+                pacing,
+                ..Default::default()
+            };
+            let report = run_replay(&options).unwrap();
+            assert!(
+                report.contains("5 batches, 10 requests, 5 accepted"),
+                "{report}"
+            );
+            report
+                .lines()
+                .skip(1)
+                .filter(|line| !line.starts_with("wall time"))
+                .map(str::to_string)
+                .collect::<Vec<_>>()
+        };
+        let fast = run(Pacing::AsFast);
+        // 48 s of recorded timeline at 2000x -> ~24 ms of pacing sleeps.
+        let recorded = run(Pacing::Recorded { speedup: 2000.0 });
+        assert_eq!(fast, recorded);
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

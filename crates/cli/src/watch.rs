@@ -4,6 +4,8 @@
 //! (or its tracing layer) appends JSONL or Recorder lines to a file, and
 //! `ftio watch` polls the file, ingests every newly completed line into an
 //! [`OnlinePredictor`], and prints a prediction per poll that saw new data.
+//! The lines are decoded by [`LineSource`], the reader `ftio detect` uses, so
+//! a line `detect` rejects is an error here too, naming the same line.
 //! A partially written trailing line is held back until its newline arrives,
 //! and a truncated file (log rotation) restarts the tail from the beginning.
 //! Rotation by replacement — delete and recreate, the other common log
@@ -16,7 +18,8 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use ftio_core::{FtioConfig, OnlinePredictor, WindowStrategy};
-use ftio_trace::{jsonl, recorder, IoRequest, TraceResult};
+use ftio_trace::source::{drain_requests, LineSource, DEFAULT_BATCH_SIZE};
+use ftio_trace::{AppId, IoRequest, TraceError, TraceResult};
 
 use crate::next_value;
 
@@ -117,12 +120,17 @@ pub fn parse_watch_options(args: &[String]) -> Result<WatchCliOptions, String> {
 }
 
 /// The incremental line tail: consumed offset, held-back partial line, and
-/// the line format decided from the first complete line.
+/// the line format decided from the first non-blank byte.
 struct Tail {
     offset: u64,
     partial: Vec<u8>,
-    lines_seen: usize,
-    recorder_lines: bool,
+    /// Complete lines consumed since the tail started, blank lines counted:
+    /// a decode error's position is offset by it, so it names the line of
+    /// the file (counted from the tail's start offset).
+    lines: usize,
+    /// Whether the lines are JSONL (`{` first) rather than Recorder text;
+    /// `None` until a non-blank byte arrived.
+    jsonl: Option<bool>,
     /// The open file being tailed, held across polls. Holding it pins the
     /// inode, so a delete-and-recreate rotation is guaranteed to produce a
     /// *different* inode number at the path (a freshly freed inode is
@@ -138,8 +146,8 @@ impl Tail {
         Tail {
             offset,
             partial: Vec::new(),
-            lines_seen: 0,
-            recorder_lines: false,
+            lines: 0,
+            jsonl: None,
             file: None,
             ino: None,
         }
@@ -160,6 +168,7 @@ impl Tail {
                 if self.file.is_some() && self.ino != file_ino(&metadata) {
                     self.file = None;
                     self.offset = 0;
+                    self.lines = 0;
                     self.partial.clear();
                 }
             }
@@ -187,6 +196,7 @@ impl Tail {
         if len < self.offset {
             // Truncated (rotated in place) file: start over.
             self.offset = 0;
+            self.lines = 0;
             self.partial.clear();
         }
         if len == self.offset {
@@ -204,30 +214,36 @@ impl Tail {
         };
         let complete = self.partial[..=last_newline].to_vec();
         self.partial.drain(..=last_newline);
-        let text = String::from_utf8_lossy(&complete);
-        let mut requests = Vec::new();
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
+        let lines_before = self.lines;
+        self.lines += complete.iter().filter(|&&b| b == b'\n').count();
+        let jsonl = match self.jsonl {
+            Some(jsonl) => jsonl,
+            None => {
+                let Some(&first) = complete.iter().find(|b| !b.is_ascii_whitespace()) else {
+                    return Ok(None);
+                };
+                *self.jsonl.insert(first == b'{')
             }
-            self.lines_seen += 1;
-            if self.lines_seen == 1 {
-                // First complete line decides the format: JSONL objects start
-                // with `{`, everything else is treated as Recorder text.
-                self.recorder_lines = !line.trim_start().starts_with('{');
-            }
-            if self.recorder_lines {
-                if let Some(request) = recorder::decode_line(line, self.lines_seen)? {
-                    requests.push(request);
-                }
-            } else {
-                requests.push(jsonl::decode_request(line, self.lines_seen)?);
-            }
-        }
-        if requests.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(requests))
+        };
+        let reader = if jsonl {
+            LineSource::jsonl
+        } else {
+            LineSource::recorder
+        };
+        let mut source = reader(complete.as_slice(), AppId::new(0), DEFAULT_BATCH_SIZE);
+        let requests = drain_requests(&mut source).map_err(|e| match e {
+            TraceError::Malformed {
+                reason,
+                position,
+                snippet,
+            } => TraceError::Malformed {
+                reason,
+                position: position + lines_before,
+                snippet,
+            },
+            other => other,
+        })?;
+        Ok((!requests.is_empty()).then_some(requests))
     }
 }
 
@@ -322,6 +338,7 @@ pub fn run_watch(options: &WatchCliOptions) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftio_trace::{jsonl, recorder};
     use std::io::Write;
 
     fn strings(args: &[&str]) -> Vec<String> {
@@ -445,6 +462,34 @@ mod tests {
         let decoded = tail.poll(&path).unwrap().expect("recorder lines decode");
         assert_eq!(decoded.len(), 2);
         assert_eq!(decoded[0].bytes, 4096);
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// Tailed lines go through the reader `ftio detect` uses: a reversed
+    /// interval or a line that is not UTF-8 is an error naming its line of
+    /// the file, blank lines counted, across polls.
+    #[test]
+    fn tail_rejects_what_detect_rejects() {
+        let path = std::env::temp_dir().join("ftio_watch_reject_test.jsonl");
+        let valid = jsonl::encode_requests(&[IoRequest::write(0, 0.0, 1.0, 1000)]);
+        std::fs::write(&path, format!("{valid}\n")).unwrap();
+        let mut tail = Tail::new(0);
+        assert_eq!(tail.poll(&path).unwrap().expect("one valid line").len(), 1);
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        let reversed = r#"{"rank":0,"start":5.0,"end":1.0,"bytes":10,"kind":"write"}"#;
+        writeln!(file, "{reversed}").unwrap();
+        drop(file);
+        let err = tail.poll(&path).unwrap_err().to_string();
+        assert!(err.contains("position 3"), "{err}");
+        assert!(err.contains("invalid request interval"), "{err}");
+
+        std::fs::write(&path, b"{\"rank\":\xff}\n").unwrap();
+        let err = Tail::new(0).poll(&path).unwrap_err().to_string();
+        assert!(err.contains("position 1"), "{err}");
+        assert!(err.contains("not valid UTF-8"), "{err}");
         let _ = std::fs::remove_file(path);
     }
 

@@ -179,43 +179,6 @@ impl SubmitOutcome {
     }
 }
 
-/// How [`ClusterEngine::replay`] paces submissions relative to the recorded
-/// timeline of the source.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Pacing {
-    /// Push batches as fast as the backpressure policy admits them —
-    /// benchmark/batch mode.
-    AsFast,
-    /// Follow the recorded timestamps, accelerated by `speedup` (1.0 replays
-    /// in real time, 60.0 replays an hour of trace per minute). The producer
-    /// sleeps between submissions so the engine sees the recorded arrival
-    /// pattern.
-    Recorded {
-        /// Time-compression factor (must be positive).
-        speedup: f64,
-    },
-}
-
-impl Pacing {
-    /// Parses a pacing name as used by the `ftio replay` command line:
-    /// `as-fast` or `recorded[:<speedup>]`.
-    pub fn parse(s: &str) -> Option<Self> {
-        let lower = s.to_ascii_lowercase();
-        match lower.as_str() {
-            "as-fast" | "asfast" | "fast" => Some(Pacing::AsFast),
-            "recorded" | "realtime" | "real-time" => Some(Pacing::Recorded { speedup: 1.0 }),
-            _ => {
-                let speedup: f64 = lower.strip_prefix("recorded:")?.parse().ok()?;
-                if speedup.is_finite() && speedup > 0.0 {
-                    Some(Pacing::Recorded { speedup })
-                } else {
-                    None
-                }
-            }
-        }
-    }
-}
-
 /// Counters of one [`ClusterEngine::replay`] run. Together with
 /// [`ClusterStats`] the books balance: every replayed batch is either
 /// accepted or rejected, and `accepted == submitted - rejected` on the
@@ -681,30 +644,19 @@ impl ClusterEngine {
         self.workers
     }
 
-    /// Replays a [`TraceSource`] through the shard queues: every batch becomes
-    /// one submission of its own application at the batch's recorded end time
-    /// (empty batches are skipped). [`Pacing::AsFast`] pushes back-to-back;
-    /// [`Pacing::Recorded`] sleeps so submissions arrive on the recorded
-    /// timeline compressed by `speedup`. Returns the replay-side counters;
-    /// call [`ClusterEngine::flush`] afterwards to wait for the matching
+    /// Replays a [`TraceSource`] through the shard queues as fast as the
+    /// backpressure policy admits: every batch becomes one submission of its
+    /// own application at the batch's recorded end time (empty batches are
+    /// skipped). Returns the replay-side counters; call
+    /// [`ClusterEngine::flush`] afterwards to wait for the matching
     /// predictions.
-    pub fn replay(&self, source: &mut dyn TraceSource, pacing: Pacing) -> TraceResult<ReplayStats> {
+    pub fn replay(&self, source: &mut dyn TraceSource) -> TraceResult<ReplayStats> {
         let mut stats = ReplayStats::default();
-        let mut timeline_origin: Option<f64> = None;
-        let started = std::time::Instant::now();
         while let Some(batch) = source.next_batch()? {
             let app = batch.app;
             let Some(now) = batch.end_time() else {
                 continue; // empty batch carries no submission time
             };
-            if let Pacing::Recorded { speedup } = pacing {
-                let origin = *timeline_origin.get_or_insert(now);
-                let target = ((now - origin) / speedup).max(0.0);
-                let elapsed = started.elapsed().as_secs_f64();
-                if target > elapsed {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(target - elapsed));
-                }
-            }
             let requests = batch.into_requests();
             stats.batches += 1;
             stats.requests += requests.len() as u64;
@@ -1902,23 +1854,6 @@ mod tests {
         assert!(err.to_string().contains("expected `cluster`"), "{err}");
     }
 
-    #[test]
-    fn pacing_names_parse() {
-        assert_eq!(Pacing::parse("as-fast"), Some(Pacing::AsFast));
-        assert_eq!(Pacing::parse("AsFast"), Some(Pacing::AsFast));
-        assert_eq!(
-            Pacing::parse("recorded"),
-            Some(Pacing::Recorded { speedup: 1.0 })
-        );
-        assert_eq!(
-            Pacing::parse("recorded:50"),
-            Some(Pacing::Recorded { speedup: 50.0 })
-        );
-        assert_eq!(Pacing::parse("recorded:0"), None);
-        assert_eq!(Pacing::parse("recorded:-3"), None);
-        assert_eq!(Pacing::parse("warp"), None);
-    }
-
     /// Replay routes per-app batches through the shard queues and the books
     /// balance on both sides (satellite: replay stats reconcile).
     #[test]
@@ -1940,7 +1875,7 @@ mod tests {
             }
         }
         let mut source = MemorySource::from_batches(AppId::new(0), batches);
-        let replay = engine.replay(&mut source, Pacing::AsFast).unwrap();
+        let replay = engine.replay(&mut source).unwrap();
         engine.flush();
         assert_eq!(replay.batches, 12);
         assert_eq!(replay.requests, 24);
@@ -1971,7 +1906,7 @@ mod tests {
             .map(|i| TraceBatch::requests(AppId::new(1), burst(1, i as f64 * 10.0, 1.0, 1_000_000)))
             .collect();
         let mut source = MemorySource::from_batches(AppId::new(1), batches);
-        let replay = engine.replay(&mut source, Pacing::AsFast).unwrap();
+        let replay = engine.replay(&mut source).unwrap();
         gate.open();
         engine.flush();
         assert_eq!(replay.batches, 5);
@@ -2004,7 +1939,7 @@ mod tests {
             .map(|i| TraceBatch::requests(app, burst(2, i as f64 * 10.0, 1.0, 1_000_000)))
             .collect();
         let mut source = MemorySource::from_batches(app, batches);
-        let replay = engine.replay(&mut source, Pacing::AsFast).unwrap();
+        let replay = engine.replay(&mut source).unwrap();
         gate.open();
         engine.flush();
         // Drop-oldest never refuses the producer: every batch is accepted...
@@ -2027,41 +1962,6 @@ mod tests {
         let times: Vec<f64> = history.iter().map(|p| p.time).collect();
         assert_eq!(times, vec![41.0, 51.0]);
         drop(engine);
-    }
-
-    /// Recorded pacing preserves results (the sleeps only shape arrival
-    /// times) and respects the compressed timeline.
-    #[test]
-    fn replay_recorded_pacing_matches_as_fast_results() {
-        use ftio_trace::source::{MemorySource, TraceBatch};
-        let make_batches = || -> Vec<TraceBatch> {
-            (0..5)
-                .map(|i| {
-                    TraceBatch::requests(
-                        AppId::new(3),
-                        burst(2, i as f64 * 12.0, 2.0, 1_500_000_000),
-                    )
-                })
-                .collect()
-        };
-        let run = |pacing: Pacing| {
-            let engine = ClusterEngine::spawn(ClusterConfig {
-                max_batch: 1,
-                ..engine_config(1, 64, BackpressurePolicy::Block)
-            });
-            let mut source = MemorySource::from_batches(AppId::new(3), make_batches());
-            let replay = engine.replay(&mut source, pacing).unwrap();
-            assert_eq!(replay.accepted, 5);
-            let results = engine.finish();
-            results[&AppId::new(3)]
-                .iter()
-                .map(|p| (p.time.to_bits(), p.period().map(f64::to_bits)))
-                .collect::<Vec<_>>()
-        };
-        let fast = run(Pacing::AsFast);
-        // 48 s of recorded timeline at 2000x -> ~24 ms of pacing sleeps.
-        let recorded = run(Pacing::Recorded { speedup: 2000.0 });
-        assert_eq!(fast, recorded);
     }
 
     /// Seeded randomized equivalence: with coalescing disabled, routing many

@@ -69,7 +69,7 @@ pub mod spectrum_info;
 pub use autocorrelation::{analyze_acf, AcfAnalysis};
 pub use characterize::{characterize, io_ratio, Characterization};
 pub use cluster::{
-    AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, ClusterStats, Pacing,
+    AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine, ClusterStats,
     PredictionEvent, ReplayStats, SubmitOutcome, DEFAULT_RESUME_RING,
 };
 pub use config::{FtioConfig, OutlierMethod};

@@ -18,7 +18,6 @@
 //! new I/O measurements are appended" deployment.
 
 use ftio_trace::msgpack::{self, write_array_header, write_f64, write_str, write_uint, Reader};
-use ftio_trace::source::TraceSource;
 use ftio_trace::{snapshot, IoRequest, TraceResult};
 
 use crate::checkpoint;
@@ -145,19 +144,6 @@ impl OnlinePredictor {
                 self.requests_seen += 1;
             }
         }
-    }
-
-    /// Drains a [`TraceSource`] into the predictor (bin batches are converted
-    /// to their request view) and returns the number of requests ingested —
-    /// how a recorded file is fed to the online mode.
-    pub fn ingest_source(&mut self, source: &mut dyn TraceSource) -> TraceResult<usize> {
-        let mut ingested = 0usize;
-        while let Some(batch) = source.next_batch()? {
-            let requests = batch.into_requests();
-            ingested += requests.len();
-            self.ingest(requests);
-        }
-        Ok(ingested)
     }
 
     /// Number of valid requests collected so far.
@@ -402,29 +388,6 @@ mod tests {
             shrunk,
             "the adaptive window never shrank below the full history"
         );
-    }
-
-    #[test]
-    fn source_ingestion_matches_direct_ingestion() {
-        use ftio_trace::{AppId, AppTrace, MemorySource};
-        let period = 11.0;
-        let mut requests = Vec::new();
-        for i in 0..10 {
-            requests.extend(burst(i as f64 * period, 2.0, 2_000_000_000));
-        }
-        let mut direct = OnlinePredictor::new(config(), WindowStrategy::FullHistory);
-        direct.ingest(requests.clone());
-        let mut streamed = OnlinePredictor::new(config(), WindowStrategy::FullHistory);
-        let trace = AppTrace::from_requests("s", 4, requests.clone());
-        let mut source = MemorySource::from_trace(AppId::new(1), &trace, 6);
-        let ingested = streamed.ingest_source(&mut source).unwrap();
-        assert_eq!(ingested, requests.len());
-        assert_eq!(streamed.collected_requests(), direct.collected_requests());
-        let now = 9.0 * period + 2.0;
-        let a = direct.predict(now);
-        let b = streamed.predict(now);
-        assert_eq!(a.period(), b.period());
-        assert_eq!(a.confidence(), b.confidence());
     }
 
     #[test]

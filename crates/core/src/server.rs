@@ -83,8 +83,7 @@ use ftio_trace::wire::{Frame, FrameReader, PredictionUpdate, WireStats, FRAME_MA
 use ftio_trace::AppId;
 
 use crate::cluster::{
-    lock_recover, AppPredictions, ClusterConfig, ClusterEngine, ClusterStats, Pacing,
-    PredictionEvent,
+    lock_recover, AppPredictions, ClusterConfig, ClusterEngine, ClusterStats, PredictionEvent,
 };
 
 /// Safety valve on the `End` barrier: if a pusher thread is stuck, an `End`
@@ -770,12 +769,6 @@ impl Server {
         &self.address
     }
 
-    /// Whether the daemon is still accepting work (false once a client sent
-    /// [`Frame::Shutdown`] or [`Server::shutdown`] was called).
-    pub fn is_running(&self) -> bool {
-        self.shared.running.load(Ordering::SeqCst)
-    }
-
     /// Serving-side counters right now.
     pub fn server_stats(&self) -> ServerStats {
         self.shared.server_stats()
@@ -1103,9 +1096,8 @@ fn framed_connection(
                     }
                 }
                 shared.counters.data_frames.fetch_add(1, Ordering::Relaxed);
-                let decoded = from_bytes_auto(None, app, bytes, shared.config.batch_size).and_then(
-                    |(_, mut source)| shared.engine.replay(source.as_mut(), Pacing::AsFast),
-                );
+                let decoded = from_bytes_auto(None, app, bytes, shared.config.batch_size)
+                    .and_then(|(_, mut source)| shared.engine.replay(source.as_mut()));
                 match decoded {
                     Ok(replay) if replay.rejected > 0 => {
                         // Overload shedding: the engine refused submissions
@@ -1291,7 +1283,7 @@ fn raw_connection(
     let app = AppId::from_name(&name);
     lock_recover(&shared.names).insert(app, name.clone());
     let outcome = from_bytes_auto(None, app, bytes, shared.config.batch_size)
-        .and_then(|(_, mut source)| shared.engine.replay(source.as_mut(), Pacing::AsFast));
+        .and_then(|(_, mut source)| shared.engine.replay(source.as_mut()));
     match outcome {
         Ok(replay) => {
             shared.engine.flush();

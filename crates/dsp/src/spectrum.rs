@@ -49,20 +49,6 @@ impl Spectrum {
         }
     }
 
-    /// Builds a spectrum directly from precomputed full-length DFT bins.
-    ///
-    /// Only the first `N/2 + 1` bins of `full_bins` are retained.
-    pub fn from_full_bins(full_bins: Vec<Complex>, sampling_freq: f64) -> Self {
-        assert!(sampling_freq > 0.0, "sampling frequency must be positive");
-        let n = full_bins.len();
-        let keep = if n == 0 { 0 } else { n / 2 + 1 };
-        Spectrum {
-            bins: full_bins.into_iter().take(keep).collect(),
-            sampling_freq,
-            signal_len: n,
-        }
-    }
-
     /// Number of single-sided bins (`N/2 + 1` for a length-`N` signal).
     pub fn num_bins(&self) -> usize {
         self.bins.len()

@@ -122,11 +122,6 @@ pub fn std_dev(data: &[f64]) -> f64 {
     variance(data).sqrt()
 }
 
-/// Sample standard deviation.
-pub fn sample_std_dev(data: &[f64]) -> f64 {
-    sample_variance(data).sqrt()
-}
-
 /// Mean and population standard deviation in one fused pass. An empty slice
 /// yields `(0.0, 0.0)` (the fold's starting values).
 pub fn mean_and_std(data: &[f64]) -> (f64, f64) {

@@ -163,8 +163,8 @@ mod tests {
         let chunks = stream.client(app_stream.app).expect("fleet member");
         for (index, chunk) in chunks.iter().enumerate() {
             let (expected, now) = app_stream.flush(index);
-            let text = std::str::from_utf8(&chunk.payload).unwrap();
-            assert_eq!(jsonl::decode_requests(text).unwrap(), expected);
+            let decoded = ftio_trace::source::decode_requests(SourceFormat::Jsonl, &chunk.payload);
+            assert_eq!(decoded.unwrap(), expected);
             assert_eq!(chunk.now, now);
         }
         assert!(stream.client(AppId::new(999)).is_none());

@@ -59,7 +59,7 @@ pub mod semi;
 pub mod sweep;
 
 use ftio_trace::source::{MemorySource, DEFAULT_BATCH_SIZE};
-use ftio_trace::{AppId, AppTrace, Heatmap};
+use ftio_trace::{AppId, AppTrace};
 
 /// Wraps any generated trace as a streaming
 /// [`TraceSource`](ftio_trace::source::TraceSource), attributed to the
@@ -72,12 +72,6 @@ pub fn trace_source(trace: &AppTrace) -> MemorySource {
         trace,
         DEFAULT_BATCH_SIZE,
     )
-}
-
-/// Wraps a generated heatmap (e.g. [`nek5000::generate`]) as a streaming
-/// bins source.
-pub fn heatmap_source(name: &str, heatmap: &Heatmap) -> MemorySource {
-    MemorySource::from_heatmap(AppId::from_name(name), heatmap, DEFAULT_BATCH_SIZE)
 }
 
 pub use client_stream::{ChunkEncoding, FleetStream, StreamChunk};

@@ -83,13 +83,6 @@ impl AppTrace {
         }
     }
 
-    /// Merges another trace into this one (used when per-rank trace files are
-    /// combined into the application-level view).
-    pub fn merge(&mut self, other: &AppTrace) {
-        self.requests.extend_from_slice(&other.requests);
-        self.metadata.num_ranks = self.metadata.num_ranks.max(other.metadata.num_ranks);
-    }
-
     /// Number of requests in the trace.
     pub fn len(&self) -> usize {
         self.requests.len()
@@ -271,18 +264,6 @@ mod tests {
         let t = sample_trace();
         assert_eq!(t.filter_kind(IoKind::Write).len(), 2);
         assert_eq!(t.filter_kind(IoKind::Read).len(), 1);
-    }
-
-    #[test]
-    fn merge_combines_requests_and_ranks() {
-        let mut a = AppTrace::named("a", 2);
-        a.push(IoRequest::write(0, 0.0, 1.0, 10));
-        let mut b = AppTrace::named("b", 8);
-        b.push(IoRequest::write(5, 2.0, 3.0, 20));
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.metadata().num_ranks, 8);
-        assert_eq!(a.total_volume(), 30);
     }
 
     #[test]

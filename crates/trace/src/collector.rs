@@ -19,6 +19,7 @@ use crate::app_trace::{AppTrace, TraceMetadata};
 use crate::jsonl;
 use crate::msgpack;
 use crate::request::IoRequest;
+use crate::source::SourceFormat;
 
 /// When the collector hands data to its sink.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,27 +209,20 @@ impl Collector {
 }
 
 /// Parses a trace file produced by flushing in the given format back into
-/// requests. For JSON Lines, chunks can simply be concatenated; for
-/// MessagePack every flush is its own top-level array, so each chunk is
-/// decoded independently.
+/// requests, decoding each chunk on its own: for MessagePack every flush is
+/// its own top-level array, and for JSON Lines each chunk's line numbers
+/// then name lines of that flush.
 pub fn decode_chunks(
     chunks: &[Vec<u8>],
     format: TraceFormat,
 ) -> crate::errors::TraceResult<Vec<IoRequest>> {
+    let format = match format {
+        TraceFormat::JsonLines => SourceFormat::Jsonl,
+        TraceFormat::MessagePack => SourceFormat::Msgpack,
+    };
     let mut out = Vec::new();
-    match format {
-        TraceFormat::JsonLines => {
-            for chunk in chunks {
-                let text = std::str::from_utf8(chunk)
-                    .map_err(|_| crate::errors::TraceError::malformed("invalid UTF-8", 0))?;
-                out.extend(jsonl::decode_requests(text)?);
-            }
-        }
-        TraceFormat::MessagePack => {
-            for chunk in chunks {
-                out.extend(msgpack::decode_requests(chunk)?);
-            }
-        }
+    for chunk in chunks {
+        out.extend(crate::source::decode_requests(format, chunk)?);
     }
     Ok(out)
 }

@@ -181,7 +181,8 @@ impl Heatmap {
     }
 
     /// Serialises the heatmap in the simple CSV-like text format used by the
-    /// CLI (`# start, bin_width` header followed by one volume per line).
+    /// CLI (`# start, bin_width` header followed by one volume per line);
+    /// [`crate::source::HeatmapTextSource`] reads it back.
     pub fn to_text(&self) -> String {
         let mut out = format!(
             "# darshan-heatmap start={} bin_width={}\n",
@@ -191,22 +192,6 @@ impl Heatmap {
             out.push_str(&format!("{v}\n"));
         }
         out
-    }
-
-    /// Parses the text format produced by [`Heatmap::to_text`] — a thin
-    /// adapter that drains the streaming
-    /// [`crate::source::HeatmapTextSource`], so whole-file decoding and
-    /// chunked ingestion share one code path.
-    pub fn from_text(text: &str) -> TraceResult<Heatmap> {
-        let mut source = crate::source::HeatmapTextSource::new(
-            text.as_bytes(),
-            crate::app_id::AppId::from_name("heatmap"),
-            crate::source::DEFAULT_BATCH_SIZE,
-        );
-        match crate::source::drain_single(&mut source, "heatmap")? {
-            crate::source::DrainedInput::Heatmap(heatmap) => Ok(heatmap),
-            crate::source::DrainedInput::Trace(_) => unreachable!("heatmap text has no requests"),
-        }
     }
 }
 
@@ -239,6 +224,18 @@ fn spread_volume(bins: &mut [f64], start: f64, bin_width: f64, r: &IoRequest) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::{drain_single, from_bytes, DrainedInput, SourceFormat};
+    use crate::AppId;
+
+    /// Reads heatmap text through its streaming reader, drained.
+    fn from_text(text: &str) -> TraceResult<Heatmap> {
+        let bytes = text.as_bytes().to_vec();
+        let mut source = from_bytes(SourceFormat::HeatmapText, AppId::new(0), bytes, 2)?;
+        match drain_single(source.as_mut(), "heatmap")? {
+            DrainedInput::Heatmap(heatmap) => Ok(heatmap),
+            DrainedInput::Trace(_) => panic!("heatmap text has no requests"),
+        }
+    }
 
     #[test]
     fn bandwidth_signal_divides_by_bin_width() {
@@ -327,17 +324,17 @@ mod tests {
     fn text_round_trip() {
         let h = Heatmap::new(5.0, 2.5, vec![10.0, 0.0, 3.25]);
         let text = h.to_text();
-        let back = Heatmap::from_text(&text).unwrap();
+        let back = from_text(&text).unwrap();
         assert_eq!(back, h);
     }
 
     #[test]
     fn bad_text_is_rejected() {
-        assert!(Heatmap::from_text("").is_err());
-        assert!(Heatmap::from_text("not a header\n1.0\n").is_err());
-        assert!(Heatmap::from_text("# darshan-heatmap start=0 bin_width=0\n").is_err());
-        assert!(Heatmap::from_text("# darshan-heatmap start=0 bin_width=1\nabc\n").is_err());
-        assert!(Heatmap::from_text("# darshan-heatmap start=0 bin_width=1\n-5\n").is_err());
+        assert!(from_text("").is_err());
+        assert!(from_text("not a header\n1.0\n").is_err());
+        assert!(from_text("# darshan-heatmap start=0 bin_width=0\n").is_err());
+        assert!(from_text("# darshan-heatmap start=0 bin_width=1\nabc\n").is_err());
+        assert!(from_text("# darshan-heatmap start=0 bin_width=1\n-5\n").is_err());
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! strict about required fields, and skips blank lines.
 //!
 //! Every JSONL consumer (`ftio detect`, `replay` and `watch`, and `ftio
-//! serve`'s `Data` frames) decodes through [`decode_request`], so it
+//! serve`'s `Data` frames) reads through [`crate::source::LineSource::jsonl`],
+//! which calls [`decode_line`] and so [`decode_request`] on each line. It
 //! allocates nothing for a well-formed line: one pass over the borrowed line
 //! matches keys in place against the six request fields, parses numbers from
 //! slices of it, and copies a string only when it holds an escape. Building a
@@ -101,18 +102,15 @@ pub fn decode_request(line: &str, line_number: usize) -> TraceResult<IoRequest> 
     })
 }
 
-/// Parses a whole JSON Lines document — a thin adapter that drains the
-/// streaming [`crate::source::JsonlSource`], so whole-file decoding and
-/// chunked ingestion share one code path. Blank lines are skipped; the first
-/// malformed line aborts with an error naming its line number and quoting the
-/// offending input.
-pub fn decode_requests(text: &str) -> TraceResult<Vec<IoRequest>> {
-    let mut source = crate::source::JsonlSource::new(
-        text.as_bytes(),
-        crate::app_id::AppId::from_name("jsonl"),
-        crate::source::DEFAULT_BATCH_SIZE,
-    );
-    crate::source::drain_requests(&mut source)
+/// Parses one line of a JSON Lines document: `None` for a blank line,
+/// otherwise the request on the trimmed line ([`decode_request`]). This is
+/// the per-line decoder of [`crate::source::LineSource::jsonl`].
+pub fn decode_line(line: &str, line_number: usize) -> TraceResult<Option<IoRequest>> {
+    let trimmed = line.trim();
+    if trimmed.is_empty() {
+        return Ok(None);
+    }
+    decode_request(trimmed, line_number).map(Some)
 }
 
 /// Formats an `f64` so it parses back exactly and never uses exponent notation
@@ -333,6 +331,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Decodes a whole document through [`crate::source::decode_requests`].
+    fn decode_requests(text: &str) -> TraceResult<Vec<IoRequest>> {
+        crate::source::decode_requests(crate::SourceFormat::Jsonl, text.as_bytes())
+    }
+
     #[test]
     fn roundtrip_single_request() {
         let r = IoRequest::write(7, 1.25, 2.5, 1_048_576);
@@ -440,7 +443,7 @@ mod tests {
         let doc = encode_requests(&requests);
         assert_eq!(decode_requests(&doc).unwrap(), requests);
         // The streaming source, two lines per batch.
-        let mut source = crate::source::JsonlSource::new(
+        let mut source = crate::source::LineSource::jsonl(
             doc.as_bytes(),
             crate::app_id::AppId::from_name("big"),
             2,

@@ -20,8 +20,11 @@
 //! * [`darshan`] — binned heatmap profiles (Darshan-style) and their
 //!   conversion into bandwidth signals;
 //! * [`recorder`] — Recorder-style per-call text traces;
-//! * [`source`] — the streaming ingestion layer: the [`TraceSource`] trait,
-//!   chunked [`TraceBatch`]es, format sniffing and [`source::open_path`];
+//! * [`source`] — the streaming ingestion layer and the one way to read a
+//!   trace: the [`TraceSource`] trait, chunked [`TraceBatch`]es, one reader
+//!   per format, format sniffing, [`source::open_path`] for files and
+//!   [`source::decode_requests`] for whole buffers (the format modules above
+//!   encode, and decode one record for these readers);
 //! * [`darshan_parser`] — actual `darshan-parser` / Darshan DXT text output;
 //! * [`tmio`] — TMIO-native columnar JSON/MessagePack profiles;
 //! * [`wire`] — the length-framed socket envelope spoken by `ftio serve`
@@ -106,9 +109,11 @@ mod property_tests {
         for _case in 0..48 {
             let requests = arbitrary_requests(&mut rng, 0, 60);
             let text = jsonl::encode_requests(&requests);
-            assert_eq!(jsonl::decode_requests(&text).unwrap(), requests);
+            let decoded = source::decode_requests(SourceFormat::Jsonl, text.as_bytes());
+            assert_eq!(decoded.unwrap(), requests);
             let packed = msgpack::encode_requests(&requests);
-            assert_eq!(msgpack::decode_requests(&packed).unwrap(), requests);
+            let decoded = source::decode_requests(SourceFormat::Msgpack, &packed);
+            assert_eq!(decoded.unwrap(), requests);
         }
     }
 
@@ -196,7 +201,7 @@ mod property_tests {
         for _case in 0..48 {
             let requests = arbitrary_requests(&mut rng, 0, 40);
             let text = recorder::encode_requests(&requests);
-            let back = recorder::decode_requests(&text).unwrap();
+            let back = source::decode_requests(SourceFormat::Recorder, text.as_bytes()).unwrap();
             assert_eq!(back.len(), requests.len());
             for (a, b) in back.iter().zip(requests.iter()) {
                 assert_eq!(a.rank, b.rank);

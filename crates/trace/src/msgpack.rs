@@ -14,7 +14,8 @@
 //! The low-level [`Reader`] also understands maps, booleans, nil and float32,
 //! which the TMIO-native profile layout ([`crate::tmio`]) is built from, and
 //! supports resuming at a saved byte offset ([`Reader::at`]) so the streaming
-//! [`crate::source::MsgpackSource`] can decode a trace incrementally.
+//! [`crate::source::MsgpackSource`] can decode a trace incrementally; it is
+//! the only reader of a request-array document.
 
 use crate::errors::{TraceError, TraceResult};
 use crate::request::{IoApi, IoKind, IoRequest};
@@ -310,24 +311,14 @@ pub fn decode_request(reader: &mut Reader<'_>) -> TraceResult<IoRequest> {
     })
 }
 
-/// Decodes a full MessagePack trace document — a thin adapter that drains the
-/// streaming [`crate::source::MsgpackSource`], so whole-file decoding and
-/// chunked ingestion share one code path (and one error vocabulary: truncated
-/// input reports its byte offset and a hex snippet).
-pub fn decode_requests(data: &[u8]) -> TraceResult<Vec<IoRequest>> {
-    // The source is generic over the byte holder, so this borrows `data`
-    // zero-copy instead of cloning the document.
-    let mut source = crate::source::MsgpackSource::new(
-        data,
-        crate::app_id::AppId::from_name("msgpack"),
-        crate::source::DEFAULT_BATCH_SIZE,
-    )?;
-    crate::source::drain_requests(&mut source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a whole document through [`crate::source::decode_requests`].
+    fn decode_requests(data: &[u8]) -> TraceResult<Vec<IoRequest>> {
+        crate::source::decode_requests(crate::SourceFormat::Msgpack, data)
+    }
 
     #[test]
     fn uint_widths_round_trip() {

@@ -58,7 +58,8 @@ pub fn encode_requests(requests: &[IoRequest]) -> String {
 
 /// Parses one Recorder line. Returns `Ok(None)` for comments, blank lines and
 /// records whose function is neither a read nor a write (metadata calls);
-/// malformed data lines are an error naming the line.
+/// malformed data lines are an error naming the line. This is the per-line
+/// decoder of [`crate::source::LineSource::recorder`].
 pub fn decode_line(line: &str, line_number: usize) -> TraceResult<Option<IoRequest>> {
     let trimmed = line.trim();
     if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -96,21 +97,14 @@ pub fn decode_line(line: &str, line_number: usize) -> TraceResult<Option<IoReque
     }))
 }
 
-/// Parses the Recorder-style text format — a thin adapter that drains the
-/// streaming [`crate::source::RecorderSource`]. Records whose function is
-/// neither a read nor a write are skipped; malformed data lines are an error.
-pub fn decode_requests(text: &str) -> TraceResult<Vec<IoRequest>> {
-    let mut source = crate::source::RecorderSource::new(
-        text.as_bytes(),
-        crate::app_id::AppId::from_name("recorder"),
-        crate::source::DEFAULT_BATCH_SIZE,
-    );
-    crate::source::drain_requests(&mut source)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a whole document through [`crate::source::decode_requests`].
+    fn decode_requests(text: &str) -> TraceResult<Vec<IoRequest>> {
+        crate::source::decode_requests(crate::SourceFormat::Recorder, text.as_bytes())
+    }
 
     #[test]
     fn classify_common_functions() {

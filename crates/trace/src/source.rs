@@ -1,29 +1,29 @@
 //! The streaming trace-ingestion layer: one [`TraceSource`] abstraction from
-//! real trace files to every consumer.
+//! real trace files to every consumer, and the only code that reads a trace.
 //!
-//! The decoders in [`crate::jsonl`], [`crate::msgpack`], [`crate::recorder`]
-//! and [`crate::darshan`] each know one wire format; this module gives them a
-//! common, *chunked* face. A [`TraceSource`] yields [`TraceBatch`]es — either
-//! I/O requests or heatmap bins, each attributed to an [`AppId`] — until the
-//! input is exhausted, so consumers (offline detection, the online predictor,
-//! the sharded cluster engine's replay front-end) never need to know where the
-//! data came from or hold a whole file in one allocation.
+//! The decoders in [`crate::jsonl`], [`crate::msgpack`], [`crate::recorder`],
+//! [`crate::tmio`] and [`crate::darshan_parser`] each know one wire format;
+//! this module gives them a common, *chunked* face. A [`TraceSource`] yields
+//! [`TraceBatch`]es — either I/O requests or heatmap bins, each attributed to
+//! an [`AppId`] — until the input is exhausted, so consumers (offline
+//! detection, `ftio watch`, the sharded cluster engine's replay front-end,
+//! `ftio serve`'s `Data` frames) never need to know where the data came from
+//! or hold a whole file in one allocation.
 //!
 //! The pieces:
 //!
 //! * [`TraceBatch`] / [`BatchPayload`] — one chunk of ingested data;
 //! * [`TraceSource`] — the pull interface (`next_batch`);
-//! * [`JsonlSource`], [`MsgpackSource`], [`RecorderSource`],
-//!   [`HeatmapTextSource`] — streaming readers for the formats this crate
-//!   already encoded (the whole-file decoders are now thin adapters that
-//!   drain these sources);
-//! * [`crate::darshan_parser::DarshanParserSource`] and
-//!   [`crate::tmio`] — readers for *external* tool output (`darshan-parser`
-//!   text, Darshan DXT traces, TMIO-native JSON/MessagePack);
-//! * [`MemorySource`] — an in-memory source over already-materialised data
-//!   (every synthetic generator doubles as a `TraceSource` through it);
-//! * [`SourceFormat`] + [`open_path`] — content sniffing (magic bytes /
-//!   first line) and one-call file opening.
+//! * [`LineSource`], [`MsgpackSource`], [`HeatmapTextSource`] — one streaming
+//!   reader per format this crate encodes (JSON Lines and Recorder text share
+//!   [`LineSource`]); [`crate::darshan_parser::DarshanParserSource`] reads
+//!   `darshan-parser` text and Darshan DXT traces;
+//! * [`MemorySource`] — an in-memory source over already-materialised data:
+//!   decoded TMIO profiles, and every synthetic generator;
+//! * [`SourceFormat`] — content sniffing (magic bytes / first line);
+//! * [`open_path`], [`from_bytes`] and [`from_bytes_auto`] — the one opening
+//!   call for a file and its in-memory counterparts; [`decode_requests`] and
+//!   [`drain_single`] drain a source whole.
 //!
 //! ```
 //! use ftio_trace::source::{MemorySource, TraceSource};
@@ -251,7 +251,7 @@ pub enum DrainedInput {
 }
 
 /// Drains a source into a flat request list; bin batches are converted via
-/// [`TraceBatch::into_requests`]. This is what the whole-file decoders use.
+/// [`TraceBatch::into_requests`].
 pub fn drain_requests(source: &mut dyn TraceSource) -> TraceResult<Vec<IoRequest>> {
     let mut out = Vec::new();
     while let Some(batch) = source.next_batch()? {
@@ -313,21 +313,39 @@ pub fn drain_single(source: &mut dyn TraceSource, name: &str) -> TraceResult<Dra
 
 // --- streaming readers over this crate's own formats -----------------------
 
-/// Streaming JSON Lines reader: one request per line, emitted in batches.
-/// [`crate::jsonl::decode_requests`] is the drain-everything adapter over it.
-pub struct JsonlSource<R: BufRead> {
+/// Decodes one line of a line-oriented trace into a request, or `None` for a
+/// line that carries none (blank, comment, metadata call).
+type LineDecoder = fn(&str, usize) -> TraceResult<Option<IoRequest>>;
+
+/// Streaming reader over a line-oriented request format — JSON Lines
+/// ([`LineSource::jsonl`]) or Recorder text ([`LineSource::recorder`]) — that
+/// emits one batch per `batch_size` requests. Every decode error names its
+/// physical line (blank lines counted) and quotes it.
+pub struct LineSource<R: BufRead> {
     reader: R,
+    decode: LineDecoder,
     app: AppId,
     batch_size: usize,
     line_number: usize,
     done: bool,
 }
 
-impl<R: BufRead> JsonlSource<R> {
-    /// Creates a reader with the given batch size.
-    pub fn new(reader: R, app: AppId, batch_size: usize) -> Self {
-        JsonlSource {
+impl<R: BufRead> LineSource<R> {
+    /// A JSON Lines reader: one request object per line, blank lines skipped.
+    pub fn jsonl(reader: R, app: AppId, batch_size: usize) -> Self {
+        LineSource::new(reader, crate::jsonl::decode_line, app, batch_size)
+    }
+
+    /// A Recorder-text reader: comments, blank lines and metadata calls are
+    /// skipped.
+    pub fn recorder(reader: R, app: AppId, batch_size: usize) -> Self {
+        LineSource::new(reader, crate::recorder::decode_line, app, batch_size)
+    }
+
+    fn new(reader: R, decode: LineDecoder, app: AppId, batch_size: usize) -> Self {
+        LineSource {
             reader,
+            decode,
             app,
             batch_size: batch_size.max(1),
             line_number: 0,
@@ -336,7 +354,7 @@ impl<R: BufRead> JsonlSource<R> {
     }
 }
 
-impl<R: BufRead> TraceSource for JsonlSource<R> {
+impl<R: BufRead> TraceSource for LineSource<R> {
     fn app_id(&self) -> AppId {
         self.app
     }
@@ -353,64 +371,7 @@ impl<R: BufRead> TraceSource for JsonlSource<R> {
                 self.done = true;
                 break;
             };
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let request = crate::jsonl::decode_request(trimmed, self.line_number)
-                .map_err(|e| e.with_context(self.line_number, trimmed))?;
-            validate_request(&request, self.line_number, || trimmed.to_string())?;
-            requests.push(request);
-        }
-        if requests.is_empty() {
-            Ok(None)
-        } else {
-            Ok(Some(TraceBatch::requests(self.app, requests)))
-        }
-    }
-}
-
-/// Streaming Recorder-text reader.
-/// [`crate::recorder::decode_requests`] is the drain-everything adapter.
-pub struct RecorderSource<R: BufRead> {
-    reader: R,
-    app: AppId,
-    batch_size: usize,
-    line_number: usize,
-    done: bool,
-}
-
-impl<R: BufRead> RecorderSource<R> {
-    /// Creates a reader with the given batch size.
-    pub fn new(reader: R, app: AppId, batch_size: usize) -> Self {
-        RecorderSource {
-            reader,
-            app,
-            batch_size: batch_size.max(1),
-            line_number: 0,
-            done: false,
-        }
-    }
-}
-
-impl<R: BufRead> TraceSource for RecorderSource<R> {
-    fn app_id(&self) -> AppId {
-        self.app
-    }
-
-    fn next_batch(&mut self) -> TraceResult<Option<TraceBatch>> {
-        if self.done {
-            return Ok(None);
-        }
-        let mut requests = Vec::with_capacity(self.batch_size);
-        let mut buf = Vec::new();
-        while requests.len() < self.batch_size {
-            let Some(line) = read_text_line(&mut self.reader, &mut buf, &mut self.line_number)?
-            else {
-                self.done = true;
-                break;
-            };
-            if let Some(request) = crate::recorder::decode_line(line, self.line_number)
+            if let Some(request) = (self.decode)(line, self.line_number)
                 .map_err(|e| e.with_context(self.line_number, line.trim()))?
             {
                 validate_request(&request, self.line_number, || line.trim().to_string())?;
@@ -425,24 +386,22 @@ impl<R: BufRead> TraceSource for RecorderSource<R> {
     }
 }
 
-/// Streaming MessagePack reader over the request-array format, generic over
-/// how the bytes are held (`Vec<u8>` for owned file contents, `&[u8]` for the
-/// zero-copy whole-buffer adapter [`crate::msgpack::decode_requests`]).
-pub struct MsgpackSource<D: AsRef<[u8]> = Vec<u8>> {
-    data: D,
+/// Streaming MessagePack reader over the request-array format.
+pub struct MsgpackSource {
+    data: Vec<u8>,
     pos: usize,
     remaining: usize,
     app: AppId,
     batch_size: usize,
 }
 
-impl<D: AsRef<[u8]>> MsgpackSource<D> {
+impl MsgpackSource {
     /// Creates a reader over a full MessagePack trace document.
-    pub fn new(data: D, app: AppId, batch_size: usize) -> TraceResult<Self> {
-        let mut reader = crate::msgpack::Reader::new(data.as_ref());
+    pub fn new(data: Vec<u8>, app: AppId, batch_size: usize) -> TraceResult<Self> {
+        let mut reader = crate::msgpack::Reader::new(&data);
         let remaining = reader
             .read_array_header()
-            .map_err(|e| contextualize_msgpack(e, data.as_ref()))?;
+            .map_err(|e| contextualize_msgpack(e, &data))?;
         let pos = reader.position();
         Ok(MsgpackSource {
             data,
@@ -479,7 +438,7 @@ fn contextualize_msgpack(error: TraceError, data: &[u8]) -> TraceError {
     }
 }
 
-impl<D: AsRef<[u8]>> TraceSource for MsgpackSource<D> {
+impl TraceSource for MsgpackSource {
     fn app_id(&self) -> AppId {
         self.app
     }
@@ -488,7 +447,7 @@ impl<D: AsRef<[u8]>> TraceSource for MsgpackSource<D> {
         if self.remaining == 0 {
             return Ok(None);
         }
-        let data = self.data.as_ref();
+        let data = self.data.as_slice();
         let take = self.remaining.min(self.batch_size);
         let mut reader = crate::msgpack::Reader::at(data, self.pos);
         let mut requests = Vec::with_capacity(take);
@@ -510,7 +469,6 @@ impl<D: AsRef<[u8]>> TraceSource for MsgpackSource<D> {
 }
 
 /// Streaming reader over this crate's `# darshan-heatmap` text format.
-/// [`Heatmap::from_text`] is the drain-everything adapter over it.
 pub struct HeatmapTextSource<R: BufRead> {
     reader: R,
     app: AppId,
@@ -808,8 +766,10 @@ impl SourceFormat {
 }
 
 /// Builds a source over in-memory bytes in the given format. The text formats
-/// stream over the buffer; the MessagePack formats decode incrementally from
-/// it.
+/// stream over the buffer; the MessagePack request array decodes
+/// incrementally from it. A TMIO profile is columnar, so it has no request
+/// before the whole document is decoded: it is decoded here, once, and its
+/// requests are emitted in batches from memory.
 pub fn from_bytes(
     format: SourceFormat,
     app: AppId,
@@ -817,18 +777,31 @@ pub fn from_bytes(
     batch_size: usize,
 ) -> TraceResult<Box<dyn TraceSource + Send>> {
     Ok(match format {
-        SourceFormat::Jsonl => Box::new(JsonlSource::new(
+        SourceFormat::Jsonl => Box::new(LineSource::jsonl(
             std::io::Cursor::new(bytes),
             app,
             batch_size,
         )),
         SourceFormat::Msgpack => Box::new(MsgpackSource::new(bytes, app, batch_size)?),
-        SourceFormat::TmioJson => Box::new(crate::tmio::TmioJsonSource::from_bytes(
-            &bytes, app, batch_size,
-        )?),
-        SourceFormat::TmioMsgpack => Box::new(crate::tmio::TmioMsgpackSource::from_bytes(
-            &bytes, app, batch_size,
-        )?),
+        SourceFormat::TmioJson => {
+            let text = std::str::from_utf8(&bytes).map_err(|e| {
+                TraceError::malformed("TMIO JSON profile is not valid UTF-8", e.valid_up_to())
+            })?;
+            let profile = crate::tmio::decode_json(text)?;
+            Box::new(MemorySource::from_requests(
+                app,
+                profile.requests,
+                batch_size,
+            ))
+        }
+        SourceFormat::TmioMsgpack => {
+            let profile = crate::tmio::decode_msgpack(&bytes)?;
+            Box::new(MemorySource::from_requests(
+                app,
+                profile.requests,
+                batch_size,
+            ))
+        }
         SourceFormat::DarshanParser => Box::new(crate::darshan_parser::DarshanParserSource::new(
             std::io::Cursor::new(bytes),
             app,
@@ -839,12 +812,21 @@ pub fn from_bytes(
             app,
             batch_size,
         )),
-        SourceFormat::Recorder => Box::new(RecorderSource::new(
+        SourceFormat::Recorder => Box::new(LineSource::recorder(
             std::io::Cursor::new(bytes),
             app,
             batch_size,
         )),
     })
+}
+
+/// Decodes a whole in-memory document into a flat request list: the
+/// [`from_bytes`] source, drained ([`drain_requests`]), so whole-buffer
+/// decoding and chunked ingestion share one reader per format and one error
+/// vocabulary. Heatmap bins come back as their request view.
+pub fn decode_requests(format: SourceFormat, bytes: &[u8]) -> TraceResult<Vec<IoRequest>> {
+    let app = AppId::from_name(format.as_str());
+    drain_requests(from_bytes(format, app, bytes.to_vec(), DEFAULT_BATCH_SIZE)?.as_mut())
 }
 
 /// Builds a source over in-memory bytes where the format may be unknown and
@@ -891,35 +873,26 @@ pub(crate) fn gunzip_bytes(bytes: &[u8]) -> TraceResult<Vec<u8>> {
 
 /// Opens a trace file with an explicit format (or sniffs it when `None`),
 /// returning the detected format and a streaming source attributed to
-/// `AppId::from_name(<file name>)`.
+/// `AppId::from_name(<file name>)` that emits `batch_size` requests (or bins)
+/// per [`TraceBatch`].
 ///
-/// The line-oriented formats (JSONL, Recorder, `darshan-parser` text, heatmap
-/// text) stream straight off a buffered file handle in [`DEFAULT_BATCH_SIZE`]
-/// chunks — peak memory is one batch plus the `BufReader` block, so multi-GB
-/// trace files never materialise in memory. Only the random-access formats
-/// (the MessagePack layouts and the whole-document TMIO JSON profile) still
-/// load the file into one buffer before decoding.
-pub fn open_path_as(
-    path: &Path,
-    format: Option<SourceFormat>,
-) -> TraceResult<(SourceFormat, Box<dyn TraceSource + Send>)> {
-    open_path_sized(path, format, DEFAULT_BATCH_SIZE)
-}
-
-/// Like [`open_path_as`], with an explicit batch size (requests or bins per
-/// [`TraceBatch`]) instead of [`DEFAULT_BATCH_SIZE`]. Smaller batches give a
-/// replay driver finer-grained control — more checkpoint opportunities, finer
-/// `--limit` cuts — at the cost of more dispatch overhead per request.
-pub fn open_path_sized(
+/// The format is sniffed from the first 4 KiB, falling back to the file
+/// extension. A gzip envelope is decompressed first and the inner content
+/// sniffed, with the extension under the `.gz` suffix as the fallback
+/// (`trace.jsonl.gz`). The line-oriented formats (JSONL, Recorder,
+/// `darshan-parser` text, heatmap text) stream straight off a buffered file
+/// handle — peak memory is one batch plus the `BufReader` block, so multi-GB
+/// trace files never materialise in memory. The random-access formats (the
+/// MessagePack layouts and the whole-document TMIO JSON profile), and any
+/// gzipped file, are read into one buffer before decoding.
+pub fn open_path(
     path: &Path,
     format: Option<SourceFormat>,
     batch_size: usize,
 ) -> TraceResult<(SourceFormat, Box<dyn TraceSource + Send>)> {
-    let batch_size = batch_size.max(1);
     let app = AppId::from_name(path.file_name().and_then(|n| n.to_str()).unwrap_or("trace"));
     let mut file = std::fs::File::open(path)?;
-    // Sniff on a bounded prefix only — the old sniffer read the whole
-    // file into the prefix loop before the readers slurped it *again*.
+    // Sniff on a bounded prefix only.
     let mut prefix = [0u8; 4096];
     let mut filled = 0usize;
     while filled < prefix.len() {
@@ -929,56 +902,49 @@ pub fn open_path_sized(
         }
         filled += n;
     }
-    if SourceFormat::is_gzip(&prefix[..filled]) {
-        // gzip transport: the DEFLATE stream has no random access, so slurp
-        // and decompress before dispatching over the inner bytes. The format
-        // (when not given) is sniffed from the decompressed content, falling
-        // back to the extension under the `.gz` suffix (`trace.jsonl.gz`).
+    // gzip transport: the DEFLATE stream has no random access, so slurp and
+    // decompress before sniffing and dispatching over the inner bytes.
+    let gunzipped = if SourceFormat::is_gzip(&prefix[..filled]) {
         let mut bytes = prefix[..filled].to_vec();
         file.read_to_end(&mut bytes)?;
-        let inner = gunzip_bytes(&bytes)?;
-        let format = match format {
-            Some(f) => f,
-            None => SourceFormat::sniff(&inner[..inner.len().min(prefix.len())])
-                .or_else(|| SourceFormat::from_extension(Path::new(path.file_stem()?)))
-                .ok_or_else(|| {
-                    TraceError::malformed_snippet(
-                        format!(
-                            "cannot determine the trace format inside gzipped `{}`",
-                            path.display()
-                        ),
-                        0,
-                        snippet_of(&String::from_utf8_lossy(
-                            &inner[..inner.len().min(SNIPPET_PREFIX)],
-                        )),
-                    )
-                })?,
-        };
-        return Ok((format, from_bytes(format, app, inner, batch_size)?));
-    }
+        Some(gunzip_bytes(&bytes)?)
+    } else {
+        None
+    };
+    let (head, named, of) = match &gunzipped {
+        Some(inner) => (
+            &inner[..inner.len().min(prefix.len())],
+            Path::new(path.file_stem().unwrap_or_default()),
+            "inside gzipped",
+        ),
+        None => (&prefix[..filled], path, "of"),
+    };
     let format = match format {
         Some(f) => f,
-        None => {
-            let sniffed = SourceFormat::sniff(&prefix[..filled]);
-            sniffed
-                .or_else(|| SourceFormat::from_extension(path))
-                .ok_or_else(|| {
-                    TraceError::malformed_snippet(
-                        format!("cannot determine the trace format of `{}`", path.display()),
-                        0,
-                        snippet_of(&String::from_utf8_lossy(
-                            &prefix[..filled.min(SNIPPET_PREFIX)],
-                        )),
-                    )
-                })?
-        }
+        None => SourceFormat::sniff(head)
+            .or_else(|| SourceFormat::from_extension(named))
+            .ok_or_else(|| {
+                TraceError::malformed_snippet(
+                    format!(
+                        "cannot determine the trace format {of} `{}`",
+                        path.display()
+                    ),
+                    0,
+                    snippet_of(&String::from_utf8_lossy(
+                        &head[..head.len().min(SNIPPET_PREFIX)],
+                    )),
+                )
+            })?,
     };
+    if let Some(inner) = gunzipped {
+        return Ok((format, from_bytes(format, app, inner, batch_size)?));
+    }
     // The readers want to see the file from the beginning again.
     file.rewind()?;
     let source: Box<dyn TraceSource + Send> = match format {
-        SourceFormat::Jsonl => Box::new(JsonlSource::new(BufReader::new(file), app, batch_size)),
+        SourceFormat::Jsonl => Box::new(LineSource::jsonl(BufReader::new(file), app, batch_size)),
         SourceFormat::Recorder => {
-            Box::new(RecorderSource::new(BufReader::new(file), app, batch_size))
+            Box::new(LineSource::recorder(BufReader::new(file), app, batch_size))
         }
         SourceFormat::HeatmapText => Box::new(HeatmapTextSource::new(
             BufReader::new(file),
@@ -1002,12 +968,6 @@ pub fn open_path_sized(
 }
 
 const SNIPPET_PREFIX: usize = 64;
-
-/// Opens a trace file, sniffing its format from the content (falling back to
-/// the file extension). This is the `--format auto` entry point.
-pub fn open_path(path: &Path) -> TraceResult<(SourceFormat, Box<dyn TraceSource + Send>)> {
-    open_path_as(path, None)
-}
 
 #[cfg(test)]
 mod tests {
@@ -1088,7 +1048,7 @@ mod tests {
     fn jsonl_source_streams_and_matches_decoder() {
         let requests = sample_requests(25);
         let text = crate::jsonl::encode_requests(&requests);
-        let mut source = JsonlSource::new(text.as_bytes(), AppId::new(3), 8);
+        let mut source = LineSource::jsonl(text.as_bytes(), AppId::new(3), 8);
         let mut streamed = Vec::new();
         let mut batches = 0;
         while let Some(batch) = source.next_batch().unwrap() {
@@ -1115,7 +1075,7 @@ mod tests {
     fn recorder_source_streams() {
         let requests = sample_requests(9);
         let text = crate::recorder::encode_requests(&requests);
-        let mut source = RecorderSource::new(text.as_bytes(), AppId::new(5), 4);
+        let mut source = LineSource::recorder(text.as_bytes(), AppId::new(5), 4);
         let streamed = drain_requests(&mut source).unwrap();
         assert_eq!(streamed.len(), 9);
     }
@@ -1137,7 +1097,7 @@ mod tests {
             r#"{"rank":0,"start":-1.0,"end":1.0,"bytes":5,"kind":"write"}"#,
             r#"{"rank":0,"start":2.0,"end":1.0,"bytes":5,"kind":"write"}"#,
         ] {
-            let mut source = JsonlSource::new(bad.as_bytes(), AppId::new(0), 8);
+            let mut source = LineSource::jsonl(bad.as_bytes(), AppId::new(0), 8);
             let err = source.next_batch().unwrap_err();
             let message = err.to_string();
             assert!(message.contains("position 1"), "{message}");
@@ -1151,7 +1111,7 @@ mod tests {
             "{}\n{{\"rank\":1,\"bytes\":2}}\n",
             crate::jsonl::encode_request(&IoRequest::write(0, 0.0, 1.0, 1))
         );
-        let mut source = JsonlSource::new(doc.as_bytes(), AppId::new(0), 8);
+        let mut source = LineSource::jsonl(doc.as_bytes(), AppId::new(0), 8);
         let err = source.next_batch().unwrap_err().to_string();
         assert!(err.contains("position 2"), "{err}");
         assert!(err.contains("near `"), "{err}");
@@ -1175,7 +1135,7 @@ mod tests {
         let doc = "\
 {\"rank\":0,\"start\":50.0,\"end\":51.0,\"bytes\":10,\"kind\":\"write\"}\n\
 {\"rank\":1,\"start\":1.0,\"end\":2.0,\"bytes\":20,\"kind\":\"read\"}\n";
-        let mut source = JsonlSource::new(doc.as_bytes(), AppId::new(0), 8);
+        let mut source = LineSource::jsonl(doc.as_bytes(), AppId::new(0), 8);
         let requests = drain_requests(&mut source).unwrap();
         assert_eq!(requests.len(), 2);
         assert!(requests[0].start > requests[1].start);
@@ -1328,7 +1288,7 @@ mod tests {
         let path = dir.join("ftio_source_open_test.unknownext");
         let requests = sample_requests(7);
         std::fs::write(&path, crate::jsonl::encode_requests(&requests)).unwrap();
-        let (format, mut source) = open_path(&path).unwrap();
+        let (format, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(format, SourceFormat::Jsonl);
         let drained = drain_requests(source.as_mut()).unwrap();
         assert_eq!(drained, requests);
@@ -1382,7 +1342,7 @@ mod tests {
             pending: Vec::new(),
             served: served.clone(),
         };
-        let mut source = JsonlSource::new(BufReader::new(reader), AppId::new(1), 128);
+        let mut source = LineSource::jsonl(BufReader::new(reader), AppId::new(1), 128);
         for batch_index in 0..3 {
             let batch = source.next_batch().unwrap().expect("stream has data");
             assert_eq!(batch.len(), 128, "batch {batch_index}");
@@ -1406,7 +1366,7 @@ mod tests {
         let requests = sample_requests(9);
         let rec_path = dir.join("ftio_source_stream_test.recorder_x");
         std::fs::write(&rec_path, crate::recorder::encode_requests(&requests)).unwrap();
-        let (format, mut source) = open_path(&rec_path).unwrap();
+        let (format, mut source) = open_path(&rec_path, None, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(format, SourceFormat::Recorder);
         assert_eq!(drain_requests(source.as_mut()).unwrap(), requests);
         let _ = std::fs::remove_file(&rec_path);
@@ -1414,7 +1374,7 @@ mod tests {
         let heatmap = Heatmap::new(3.0, 1.5, vec![1.0, 0.0, 2.5, 7.0, 0.0]);
         let hm_path = dir.join("ftio_source_stream_test.heatmap_x");
         std::fs::write(&hm_path, heatmap.to_text()).unwrap();
-        let (format, mut source) = open_path(&hm_path).unwrap();
+        let (format, mut source) = open_path(&hm_path, None, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(format, SourceFormat::HeatmapText);
         match drain_single(source.as_mut(), "h").unwrap() {
             DrainedInput::Heatmap(h) => assert_eq!(h, heatmap),
@@ -1435,7 +1395,7 @@ mod tests {
         let path = dir.join("ftio_source_gzip_test.unknownext");
         std::fs::write(&path, flate2::gzip_stored(jsonl.as_bytes())).unwrap();
         assert!(SourceFormat::is_gzip(&std::fs::read(&path).unwrap()));
-        let (format, mut source) = open_path(&path).unwrap();
+        let (format, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(format, SourceFormat::Jsonl);
         assert_eq!(drain_requests(source.as_mut()).unwrap(), requests);
         let _ = std::fs::remove_file(&path);
@@ -1444,7 +1404,7 @@ mod tests {
         let packed = crate::msgpack::encode_requests(&requests);
         let path = dir.join("ftio_source_gzip_test.msgpack.gz");
         std::fs::write(&path, flate2::gzip_stored(&packed)).unwrap();
-        let (format, mut source) = open_path(&path).unwrap();
+        let (format, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         assert_eq!(format, SourceFormat::Msgpack);
         assert_eq!(drain_requests(source.as_mut()).unwrap(), requests);
         let _ = std::fs::remove_file(&path);
@@ -1460,7 +1420,7 @@ mod tests {
         let n = packed.len();
         packed[n - 1] ^= 0x01; // break the ISIZE trailer
         std::fs::write(&path, packed).unwrap();
-        let err = match open_path(&path) {
+        let err = match open_path(&path, None, DEFAULT_BATCH_SIZE) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("corrupt gzip must not open"),
         };
@@ -1490,7 +1450,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join("ftio_source_unknown_test.xyz");
         std::fs::write(&path, "complete nonsense\n").unwrap();
-        let err = match open_path(&path) {
+        let err = match open_path(&path, None, DEFAULT_BATCH_SIZE) {
             Err(e) => e.to_string(),
             Ok(_) => panic!("nonsense must not open"),
         };

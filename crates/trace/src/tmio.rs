@@ -29,17 +29,15 @@
 //! to rank 0, since TMIO's aggregate profile does not always keep it). Unknown
 //! sections and counters are skipped, so richer TMIO files still parse.
 //!
-//! Both layouts decode through [`decode_json`] / [`decode_msgpack`] and stream
-//! through [`TmioJsonSource`] / [`TmioMsgpackSource`] (columnar files must be
-//! read whole before the first request can be formed, so the sources
-//! materialise once and then emit chunked batches). Encoders are provided to
-//! build fixtures and benchmark corpora without a TMIO install.
+//! Both layouts decode through [`decode_json`] / [`decode_msgpack`]. A
+//! columnar file must be read whole before its first request can be formed,
+//! so [`crate::source::from_bytes`] decodes a profile once and emits its
+//! requests in batches from a [`crate::source::MemorySource`]. Encoders are
+//! provided to build fixtures and benchmark corpora without a TMIO install.
 
-use crate::app_id::AppId;
 use crate::errors::{snippet_of, TraceError, TraceResult};
 use crate::msgpack;
 use crate::request::{IoApi, IoKind, IoRequest};
-use crate::source::{MemorySource, TraceBatch, TraceSource};
 
 /// The four TMIO profile sections and the request kind/API they map to.
 const SECTIONS: [(&str, IoKind, IoApi); 4] = [
@@ -625,68 +623,11 @@ pub fn encode_msgpack(ranks: usize, requests: &[IoRequest]) -> Vec<u8> {
     out
 }
 
-// --- streaming sources -----------------------------------------------------
-
-/// Streaming source over a TMIO-native JSON profile. Columnar layouts need
-/// the whole document before the first request exists, so the source decodes
-/// once up front and then emits chunked batches.
-pub struct TmioJsonSource {
-    inner: MemorySource,
-}
-
-impl TmioJsonSource {
-    /// Decodes the profile and prepares batched emission.
-    pub fn from_bytes(bytes: &[u8], app: AppId, batch_size: usize) -> TraceResult<Self> {
-        let text = std::str::from_utf8(bytes).map_err(|e| {
-            TraceError::malformed("TMIO JSON profile is not valid UTF-8", e.valid_up_to())
-        })?;
-        let profile = decode_json(text)?;
-        Ok(TmioJsonSource {
-            inner: MemorySource::from_requests(app, profile.requests, batch_size),
-        })
-    }
-}
-
-impl TraceSource for TmioJsonSource {
-    fn app_id(&self) -> AppId {
-        self.inner.app_id()
-    }
-
-    fn next_batch(&mut self) -> TraceResult<Option<TraceBatch>> {
-        self.inner.next_batch()
-    }
-}
-
-/// Streaming source over a TMIO-native MessagePack profile (see
-/// [`TmioJsonSource`] for why it materialises first).
-pub struct TmioMsgpackSource {
-    inner: MemorySource,
-}
-
-impl TmioMsgpackSource {
-    /// Decodes the profile and prepares batched emission.
-    pub fn from_bytes(bytes: &[u8], app: AppId, batch_size: usize) -> TraceResult<Self> {
-        let profile = decode_msgpack(bytes)?;
-        Ok(TmioMsgpackSource {
-            inner: MemorySource::from_requests(app, profile.requests, batch_size),
-        })
-    }
-}
-
-impl TraceSource for TmioMsgpackSource {
-    fn app_id(&self) -> AppId {
-        self.inner.app_id()
-    }
-
-    fn next_batch(&mut self) -> TraceResult<Option<TraceBatch>> {
-        self.inner.next_batch()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::drain_requests;
+    use crate::app_id::AppId;
+    use crate::source::{drain_requests, from_bytes, SourceFormat};
 
     fn sample_requests() -> Vec<IoRequest> {
         vec![
@@ -761,13 +702,13 @@ mod tests {
     fn sources_stream_the_same_requests() {
         let requests = sample_requests();
         let text = encode_json(4, &requests);
-        let mut source = TmioJsonSource::from_bytes(text.as_bytes(), AppId::new(1), 2).unwrap();
-        let streamed = drain_requests(&mut source).unwrap();
+        let mut source = from_bytes(SourceFormat::TmioJson, AppId::new(1), text.into(), 2).unwrap();
+        let streamed = drain_requests(source.as_mut()).unwrap();
         assert_requests_close(&streamed, &requests);
 
         let packed = encode_msgpack(4, &requests);
-        let mut source = TmioMsgpackSource::from_bytes(&packed, AppId::new(1), 3).unwrap();
-        let streamed = drain_requests(&mut source).unwrap();
+        let mut source = from_bytes(SourceFormat::TmioMsgpack, AppId::new(1), packed, 3).unwrap();
+        let streamed = drain_requests(source.as_mut()).unwrap();
         assert_requests_close(&streamed, &requests);
     }
 

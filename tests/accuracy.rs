@@ -18,7 +18,7 @@
 use ftio_core::eval::{score_predictions, EvalConfig, EvalReport};
 use ftio_core::{
     detect_signal, detect_trace, AppPredictions, BackpressurePolicy, ClusterConfig, ClusterEngine,
-    FtioConfig, IncrementalSampler, OnlinePrediction, OnlinePredictor, Pacing, WindowStrategy,
+    FtioConfig, IncrementalSampler, OnlinePrediction, OnlinePredictor, WindowStrategy,
 };
 use ftio_synth::drift::{self, all_scenarios, scenario_for, DriftConfig, Scenario, ScenarioFamily};
 use ftio_synth::ior::PhaseLibrary;
@@ -234,7 +234,7 @@ fn run_scenario_engine(scenario: &Scenario) -> Vec<(AppId, Vec<OnlinePrediction>
     let events = engine.subscribe(None);
     let mut source = scenario.to_source();
     engine
-        .replay(&mut source, Pacing::AsFast)
+        .replay(&mut source)
         .expect("memory source cannot fail");
     engine.flush();
     let mut runs = AppPredictions::new();
@@ -542,7 +542,7 @@ fn multi_tenant_replay_accounting_reconciles() {
         });
         let mut source = scenario.to_source();
         let replay = engine
-            .replay(&mut source, Pacing::AsFast)
+            .replay(&mut source)
             .expect("memory source cannot fail");
         engine.flush();
         let stats = engine.stats();

@@ -7,9 +7,11 @@ use std::path::{Path, PathBuf};
 
 use ftio_core::{
     detect_heatmap, detect_source, detect_trace, BackpressurePolicy, ClusterConfig, ClusterEngine,
-    FtioConfig, Pacing, WindowStrategy,
+    FtioConfig, WindowStrategy,
 };
-use ftio_trace::source::{drain_single, open_path, DrainedInput, SourceFormat};
+use ftio_trace::source::{
+    decode_requests, drain_single, open_path, DrainedInput, SourceFormat, DEFAULT_BATCH_SIZE,
+};
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data")
@@ -47,7 +49,8 @@ fn detection_config() -> FtioConfig {
 fn corpus_covers_every_source_format() {
     let mut seen = Vec::new();
     for path in fixtures() {
-        let (format, _) = open_path(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let (format, _) = open_path(&path, None, DEFAULT_BATCH_SIZE)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         seen.push(format);
     }
     for expected in [
@@ -76,8 +79,8 @@ fn corpus_covers_every_source_format() {
 #[test]
 fn every_fixture_parses_and_detects_a_period() {
     for path in fixtures() {
-        let (format, mut source) =
-            open_path(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let (format, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE)
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         let result = detect_source(source.as_mut(), &detection_config())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
         assert!(
@@ -116,8 +119,8 @@ fn gzipped_fixture_equals_its_plain_sibling() {
         gzipped.is_file(),
         "gzip fixture missing (regenerate with `cargo run --example make_fixtures`)"
     );
-    let (plain_format, mut plain_source) = open_path(&plain).unwrap();
-    let (gz_format, mut gz_source) = open_path(&gzipped).unwrap();
+    let (plain_format, mut plain_source) = open_path(&plain, None, DEFAULT_BATCH_SIZE).unwrap();
+    let (gz_format, mut gz_source) = open_path(&gzipped, None, DEFAULT_BATCH_SIZE).unwrap();
     assert_eq!(plain_format, SourceFormat::Jsonl);
     assert_eq!(
         gz_format,
@@ -137,12 +140,12 @@ fn gzipped_fixture_equals_its_plain_sibling() {
 fn streamed_detection_equals_materialized_detection() {
     for path in fixtures() {
         let config = detection_config();
-        let (_, mut source) = open_path(&path).unwrap();
+        let (_, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         let streamed = detect_source(source.as_mut(), &config).unwrap();
 
         // Materialise through the same decoders a non-streaming consumer
         // would use, then run the classic entry points.
-        let (_, mut source) = open_path(&path).unwrap();
+        let (_, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         let materialized = match drain_single(source.as_mut(), "source").unwrap() {
             DrainedInput::Trace(trace) => detect_trace(&trace, &config),
             DrainedInput::Heatmap(heatmap) => detect_heatmap(&heatmap, &config),
@@ -182,7 +185,7 @@ fn streamed_detection_equals_materialized_detection() {
 #[test]
 fn replay_stats_reconcile_across_the_corpus() {
     for path in fixtures() {
-        let (_, mut source) = open_path(&path).unwrap();
+        let (_, mut source) = open_path(&path, None, DEFAULT_BATCH_SIZE).unwrap();
         let engine = ClusterEngine::spawn(ClusterConfig {
             shards: 2,
             queue_capacity: 64,
@@ -196,7 +199,7 @@ fn replay_stats_reconcile_across_the_corpus() {
             strategy: WindowStrategy::FullHistory,
             ..ClusterConfig::default()
         });
-        let replay = engine.replay(source.as_mut(), Pacing::AsFast).unwrap();
+        let replay = engine.replay(source.as_mut()).unwrap();
         engine.flush();
         let stats = engine.stats();
         let name = path.display();
@@ -226,8 +229,8 @@ fn replay_stats_reconcile_across_the_corpus() {
 #[test]
 fn jsonl_fixture_matches_its_generator_spec() {
     let path = fixture_dir().join("ior_small.jsonl");
-    let text = std::fs::read_to_string(&path).unwrap();
-    let requests = ftio_trace::jsonl::decode_requests(&text).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let requests = decode_requests(SourceFormat::Jsonl, &bytes).unwrap();
     // 2 ranks x 20 bursts, period 10 s, first burst at 5 s.
     assert_eq!(requests.len(), 40);
     assert_eq!(requests[0].start, 5.0);

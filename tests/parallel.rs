@@ -21,8 +21,7 @@
 use ftio_cli::{cluster, default_threads, eval, replay, serve};
 use ftio_core::server::{Server, ServerConfig, ServerListener};
 use ftio_core::{
-    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction, Pacing,
-    WindowStrategy,
+    BackpressurePolicy, ClusterConfig, ClusterEngine, FtioConfig, OnlinePrediction, WindowStrategy,
 };
 use ftio_synth::drift::{all_scenarios, Scenario};
 use ftio_trace::{AppId, IoRequest};
@@ -55,7 +54,7 @@ fn replay_bits(scenario: &Scenario, threads: usize) -> Vec<(AppId, Vec<Predictio
     let engine = ClusterEngine::spawn(engine_config(4, threads));
     let mut source = scenario.to_source();
     engine
-        .replay(&mut source, Pacing::AsFast)
+        .replay(&mut source)
         .expect("memory source cannot fail");
     engine.flush();
     let results = engine.finish();

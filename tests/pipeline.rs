@@ -64,7 +64,9 @@ fn recorder_and_heatmap_paths_agree_with_the_request_path() {
         .unwrap();
 
     let text = ftio_trace::recorder::encode_requests(trace.requests());
-    let decoded = ftio_trace::recorder::decode_requests(&text).unwrap();
+    let decoded =
+        ftio_trace::source::decode_requests(ftio_trace::SourceFormat::Recorder, text.as_bytes())
+            .unwrap();
     let recorder_trace = AppTrace::from_requests("recorder", 4, decoded);
     let from_recorder = detect_trace(&recorder_trace, &FtioConfig::with_sampling_freq(1.0))
         .period()

@@ -16,8 +16,7 @@
 //!   positioned [`TraceError`]; they never panic and never restore silently.
 
 use ftio_core::{
-    ClusterConfig, ClusterEngine, FtioConfig, OnlinePredictor, Pacing, RetentionPolicy,
-    WindowStrategy,
+    ClusterConfig, ClusterEngine, FtioConfig, OnlinePredictor, RetentionPolicy, WindowStrategy,
 };
 use ftio_synth::scenarios::{long_history_burst, long_history_requests, LongHistoryConfig};
 use ftio_trace::snapshot::HEADER_LEN;
@@ -191,19 +190,19 @@ fn cluster_replay_resumes_bit_for_bit_for_every_window_strategy() {
 
         let engine = ClusterEngine::spawn(config);
         let mut source = MemorySource::from_requests(app, requests.clone(), batch_size);
-        engine.replay(&mut source, Pacing::AsFast).unwrap();
+        engine.replay(&mut source).unwrap();
         let full = engine.finish();
         let full_history = &full[&app];
 
         let engine = ClusterEngine::spawn(config);
         let mut first = MemorySource::from_requests(app, requests[..half].to_vec(), batch_size);
-        engine.replay(&mut first, Pacing::AsFast).unwrap();
+        engine.replay(&mut first).unwrap();
         let bytes = engine.snapshot();
         drop(engine);
 
         let engine = ClusterEngine::restore(&bytes).expect("cluster snapshot must restore");
         let mut rest = MemorySource::from_requests(app, requests[half..].to_vec(), batch_size);
-        engine.replay(&mut rest, Pacing::AsFast).unwrap();
+        engine.replay(&mut rest).unwrap();
         let resumed = engine.finish();
         let resumed_history = &resumed[&app];
 
