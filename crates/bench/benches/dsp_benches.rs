@@ -59,9 +59,13 @@ fn bench_rfft(c: &mut Criterion) {
 fn bench_plan_construction(c: &mut Criterion) {
     // What the plan cache saves on every hot-loop call: twiddle/permutation
     // tables for the power-of-two kernel, chirp + filter FFT for Bluestein.
+    // 101 (the complex half of a 202-sample window) and 203 are online
+    // lengths: their Bluestein plans take the 256- and 512-point convolution
+    // plans from the cache, warm after the first iteration, so these rows are
+    // what a plan-cache miss costs the engine.
     let mut group = c.benchmark_group("fft_plan_build");
     group.sample_size(20);
-    for &n in &[8192usize, 7919] {
+    for &n in &[8192usize, 7919, 101, 203] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| black_box(Fft::new(black_box(n))));
         });

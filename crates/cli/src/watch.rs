@@ -62,7 +62,8 @@ pub const WATCH_USAGE: &str = "usage: ftio watch <trace-file> [options]\n\
      \x20 --freq <hz>                 sampling frequency (default 2)\n\
      \x20 --poll <ms>                 poll interval in milliseconds (default 250)\n\
      \x20 --idle-exit <secs>          exit after this long without new data\n\
-     \x20 --from-end                  skip data already in the file, tail only new lines";
+     \x20 --from-end                  skip data already in the file, tail only new lines;\n\
+     \x20                              error positions count lines from where the tail started";
 
 /// Parses the arguments following `ftio watch`.
 pub fn parse_watch_options(args: &[String]) -> Result<WatchCliOptions, String> {

@@ -9,7 +9,9 @@
 //!   most one radix-2 fixup stage;
 //! * **Bluestein's algorithm** (chirp-z transform) for every other length,
 //!   which reduces an arbitrary-length DFT to a power-of-two convolution with
-//!   chirp and filter tables precomputed in the plan.
+//!   chirp and filter tables precomputed in the plan. The convolution's
+//!   power-of-two plan comes from the thread's [`crate::plan_cache`], so every
+//!   Bluestein plan of one convolution length shares it.
 //!
 //! Both run sequentially on the calling thread. Parallelism lives one level
 //! up: the online engine analyses many applications at once on its worker
@@ -35,6 +37,8 @@
 //! arbitrary-length support matters here. Real-valued signals should prefer
 //! [`crate::rfft::RealFft`], which halves the work by exploiting the conjugate
 //! symmetry of the spectrum.
+
+use std::sync::Arc;
 
 use crate::complex::{Complex, SplitComplex};
 use crate::plan_cache;
@@ -138,8 +142,9 @@ struct BluesteinPlan {
     chirp: SplitComplex,
     /// Forward FFT of the zero-padded, conjugated chirp filter (planes).
     filter_fft: SplitComplex,
-    /// Inner power-of-two plan used for the convolution.
-    inner: Box<Fft>,
+    /// Power-of-two plan of the convolution, taken from the thread's plan
+    /// cache: every Bluestein plan of one `conv_len` shares it.
+    inner: Arc<Fft>,
 }
 
 impl Fft {
@@ -551,7 +556,7 @@ impl BluesteinPlan {
                 filter_fft.im[conv_len - n] = -chirp.im[n];
             }
         }
-        let inner = Box::new(Fft::new(conv_len));
+        let inner = plan_cache::fft_plan(conv_len);
         inner.process_split(&mut filter_fft.re, &mut filter_fft.im, Direction::Forward);
         BluesteinPlan {
             conv_len,
@@ -1055,5 +1060,59 @@ mod tests {
             assert!((fsum[k].re - expect.re).abs() < 1e-9);
             assert!((fsum[k].im - expect.im).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn bluestein_plans_share_one_convolution_plan() {
+        // 97 and 101 both convolve over 256 points.
+        let first = plan_cache::fft_plan(97);
+        let before = plan_cache::stats();
+        let second = plan_cache::fft_plan(101);
+        let built = plan_cache::stats().fft_plans_built - before.fft_plans_built;
+        assert_eq!(built, 1, "the 256-point plan must come from the cache");
+        let conv = plan_cache::fft_plan(256);
+        for plan in [&first, &second] {
+            match &plan.kind {
+                PlanKind::Bluestein(b) => assert!(Arc::ptr_eq(&b.inner, &conv)),
+                other => panic!("{} should be Bluestein, got {other:?}", plan.len()),
+            }
+        }
+    }
+
+    /// Every output bit of `fft`, `ifft` and `rfft` at a Bluestein length,
+    /// an even length whose half is Bluestein, an odd Bluestein length and a
+    /// long prime, folded into one hash. The constant was computed before
+    /// plans took their inner transforms from the plan cache.
+    #[test]
+    fn transforms_keep_the_parents_bits() {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for n in [101usize, 202, 203, 7919] {
+            let signal: Vec<f64> = (0..n)
+                .map(|i| (i as f64 * 0.37).sin() + ((i * 7) % 11) as f64)
+                .collect();
+            let complex: Vec<Complex> = signal
+                .iter()
+                .map(|&x| Complex::new(x, (x * 0.5).cos()))
+                .collect();
+            for z in fft(&complex)
+                .iter()
+                .chain(&ifft(&complex))
+                .chain(&rfft(&signal))
+            {
+                for bits in [z.re.to_bits(), z.im.to_bits()] {
+                    hash = (hash ^ bits).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, 0xf68e_529a_2400_f9a4);
+    }
+
+    /// Plans hold their shared inner plans in an `Arc`, so they stay
+    /// `Send + Sync`; this fails to compile otherwise.
+    #[test]
+    fn plans_are_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Fft>();
+        assert_send_sync::<crate::rfft::RealFft>();
     }
 }

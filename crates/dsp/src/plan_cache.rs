@@ -10,6 +10,16 @@
 //! directions, so direction is not part of the key) and pools the scratch
 //! buffers the transforms work in.
 //!
+//! Plans share their inner plans through this cache: a Bluestein plan takes
+//! its power-of-two convolution plan, and a real-input plan its complex plan,
+//! from [`fft_plan`] instead of building a private copy. So each length's
+//! tables exist once per thread, and a miss at a Bluestein length costs only
+//! its chirp, its filter FFT and (for a real plan) its twiddles. Each kind
+//! keeps at most 32 plans. The bound is a count, not bytes: an online window
+//! length's plan holds a few kilobytes, and a byte budget big enough for one
+//! long offline plan (a 65,536-point ACF plan holds about a megabyte) would
+//! let every worker keep hundreds of them.
+//!
 //! In steady state (plans cached, buffers grown) a spectral pipeline tick
 //! performs **zero plan constructions and zero scratch allocations**. The
 //! [`stats`] counters make that property testable: `ftio-core` pins it with a
@@ -20,14 +30,15 @@
 //! or engine threads each warm their own cache.
 
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::complex::SplitComplex;
 use crate::fft::Fft;
 use crate::rfft::RealFft;
 
-/// Maximum number of complex-FFT and real-FFT plans kept per thread.
-const PLAN_CAPACITY: usize = 16;
+/// Maximum number of complex-FFT plans, and of real-FFT plans, kept per
+/// thread.
+const PLAN_CAPACITY: usize = 32;
 /// Maximum number of pooled split work buffers kept per thread. One call
 /// holds at most four at once: a real FFT's half-spectrum output and packed
 /// input, a Bluestein convolution buffer, and the mixed-radix scratch of its
@@ -40,11 +51,13 @@ const SCRATCH_POOL_CAPACITY: usize = 8;
 /// not build plans or grow scratch buffers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanCacheStats {
-    /// Complex FFT plans constructed on this thread.
+    /// Complex FFT plans constructed on this thread, the inner plans of
+    /// Bluestein and real-input plans included.
     pub fft_plans_built: u64,
     /// Real-input FFT plans constructed on this thread.
     pub rfft_plans_built: u64,
-    /// Cache hits (plan served without construction).
+    /// Cache hits (plan served without construction), inner lookups
+    /// included.
     pub plan_hits: u64,
     /// Times a scratch buffer had to allocate (grow past its capacity).
     pub scratch_grows: u64,
@@ -57,11 +70,13 @@ impl PlanCacheStats {
     }
 }
 
+/// Cached plans of one kind with their lengths, most recently used first.
+type Plans<P> = Vec<(usize, Arc<P>)>;
+
 #[derive(Default)]
 struct CacheInner {
-    /// Most-recently-used first.
-    fft: Vec<(usize, Rc<Fft>)>,
-    rfft: Vec<(usize, Rc<RealFft>)>,
+    fft: Plans<Fft>,
+    rfft: Plans<RealFft>,
     split: Vec<SplitComplex>,
     stats: PlanCacheStats,
 }
@@ -71,57 +86,49 @@ thread_local! {
 }
 
 /// Returns the cached complex FFT plan for `len`, building it on first use.
-pub fn fft_plan(len: usize) -> Rc<Fft> {
-    let hit = CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(pos) = cache.fft.iter().position(|(l, _)| *l == len) {
-            let entry = cache.fft.remove(pos);
-            let plan = entry.1.clone();
-            cache.fft.insert(0, entry);
-            cache.stats.plan_hits += 1;
-            Some(plan)
-        } else {
-            None
-        }
-    });
-    if let Some(plan) = hit {
-        return plan;
-    }
-    // Build outside the borrow: plan construction may be slow and must never
-    // re-enter the cache cell.
-    let plan = Rc::new(Fft::new(len));
-    CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.stats.fft_plans_built += 1;
-        cache.fft.insert(0, (len, plan.clone()));
-        cache.fft.truncate(PLAN_CAPACITY);
-    });
-    plan
+pub fn fft_plan(len: usize) -> Arc<Fft> {
+    cached(len, |c| &mut c.fft, Fft::new, |s| &mut s.fft_plans_built)
 }
 
 /// Returns the cached real-input FFT plan for `len`, building it on first use.
-pub fn rfft_plan(len: usize) -> Rc<RealFft> {
+pub fn rfft_plan(len: usize) -> Arc<RealFft> {
+    cached(
+        len,
+        |c| &mut c.rfft,
+        RealFft::new,
+        |s| &mut s.rfft_plans_built,
+    )
+}
+
+/// The one LRU lookup behind [`fft_plan`] and [`rfft_plan`]: `plans` selects
+/// the kind's list and `built` its build counter.
+fn cached<P>(
+    len: usize,
+    plans: fn(&mut CacheInner) -> &mut Plans<P>,
+    build: fn(usize) -> P,
+    built: fn(&mut PlanCacheStats) -> &mut u64,
+) -> Arc<P> {
     let hit = CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(pos) = cache.rfft.iter().position(|(l, _)| *l == len) {
-            let entry = cache.rfft.remove(pos);
-            let plan = entry.1.clone();
-            cache.rfft.insert(0, entry);
-            cache.stats.plan_hits += 1;
-            Some(plan)
-        } else {
-            None
-        }
+        let cache = &mut *cache.borrow_mut();
+        let list = plans(cache);
+        let pos = list.iter().position(|(l, _)| *l == len)?;
+        list[..=pos].rotate_right(1);
+        let plan = list[0].1.clone();
+        cache.stats.plan_hits += 1;
+        Some(plan)
     });
     if let Some(plan) = hit {
         return plan;
     }
-    let plan = Rc::new(RealFft::new(len));
+    // Build outside the borrow: construction re-enters the cache (Bluestein
+    // and real plans look up their inner complex plan here).
+    let plan = Arc::new(build(len));
     CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.stats.rfft_plans_built += 1;
-        cache.rfft.insert(0, (len, plan.clone()));
-        cache.rfft.truncate(PLAN_CAPACITY);
+        let cache = &mut *cache.borrow_mut();
+        *built(&mut cache.stats) += 1;
+        let list = plans(cache);
+        list.insert(0, (len, plan.clone()));
+        list.truncate(PLAN_CAPACITY);
     });
     plan
 }
@@ -135,23 +142,6 @@ pub fn stats() -> PlanCacheStats {
 /// buffers stay warm).
 pub fn reset_stats() {
     CACHE.with(|cache| cache.borrow_mut().stats = PlanCacheStats::default());
-}
-
-/// Drops every cached plan and pooled scratch buffer on this thread,
-/// releasing their memory (the counters are kept).
-///
-/// The cache is bounded by *entry count*, not bytes, and the scratch pool
-/// keeps its largest buffers — a long-lived thread that once analysed a very
-/// long signal (a 262,144-point autocorrelation plan holds megabytes of
-/// Bluestein tables) retains that memory until the thread exits. Call this
-/// after a burst of unusually large transforms to return to a cold cache.
-pub fn clear() {
-    CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        cache.fft.clear();
-        cache.rfft.clear();
-        cache.split.clear();
-    });
 }
 
 /// Takes a pooled deinterleaved (structure-of-arrays) complex buffer, resized
@@ -230,9 +220,11 @@ mod tests {
             let _ = fft_real(&signal);
         }
         let stats = stats();
-        // fft_real goes through the rfft plan (inner complex plan is private
-        // to it), so exactly one real plan is built, then hits.
+        // fft_real goes through the rfft plan, whose inner 120-point complex
+        // plan comes from this cache too: one plan of each kind is built, then
+        // every call hits.
         assert_eq!(stats.rfft_plans_built, 1, "{stats:?}");
+        assert_eq!(stats.fft_plans_built, 1, "{stats:?}");
         assert!(stats.plan_hits >= 4, "{stats:?}");
     }
 
@@ -271,19 +263,23 @@ mod tests {
         assert_eq!(stats().fft_plans_built, 1);
     }
 
+    /// 24 neighbouring window lengths, as the engine meets them across a
+    /// fleet: their 24 real plans and the 26 complex plans behind them (12
+    /// half lengths, 12 odd lengths and the 256- and 512-point convolutions
+    /// of the Bluestein ones) all fit, so a second pass builds nothing.
     #[test]
-    fn clear_releases_plans_and_buffers() {
-        let _ = fft_plan(64);
-        give_split(take_split(4096));
-        clear();
-        reset_stats();
-        // The plan was dropped, so the next request rebuilds it...
-        let _ = fft_plan(64);
-        assert_eq!(stats().fft_plans_built, 1);
-        // ...and the pool is empty, so fresh buffers have to grow again.
-        let buf = take_split(4096);
-        assert_eq!(stats().scratch_grows, 1);
-        give_split(buf);
+    fn a_fleet_of_lengths_stays_cached() {
+        let lengths = 180..=203;
+        for len in lengths.clone() {
+            let _ = rfft(&vec![1.0; len]);
+        }
+        let before = stats();
+        for len in lengths {
+            let _ = rfft(&vec![1.0; len]);
+        }
+        let after = stats();
+        assert_eq!(after.plans_built(), before.plans_built(), "{after:?}");
+        assert_eq!(after.plan_hits - before.plan_hits, 24, "{after:?}");
     }
 
     #[test]

@@ -21,8 +21,12 @@
 //! mirrored back to full length.
 //!
 //! Plans precompute all tables; processing with caller-provided buffers does
-//! not allocate once the buffers have grown to size. The free function
-//! [`rfft`] is the cached convenience entry point.
+//! not allocate once the buffers have grown to size. A plan's complex plan
+//! comes from [`crate::plan_cache::fft_plan`], shared with every other plan
+//! that needs that length on the thread. The free function [`rfft`] is the
+//! cached convenience entry point.
+
+use std::sync::Arc;
 
 use crate::complex::{Complex, SplitComplex};
 use crate::fft::{Direction, Fft};
@@ -50,8 +54,9 @@ use crate::plan_cache;
 #[derive(Clone, Debug)]
 pub struct RealFft {
     len: usize,
-    /// Complex plan of length `len/2` (even `len`) or `len` (odd fallback).
-    inner: Fft,
+    /// Complex plan of length `len/2` (even `len`) or `len` (odd fallback),
+    /// taken from the thread's plan cache.
+    inner: Arc<Fft>,
     /// Split twiddles `W_N^k = exp(-2πik/N)` for `k in 0..H` (even `len` only).
     twiddles: Vec<Complex>,
 }
@@ -62,29 +67,20 @@ impl RealFft {
     /// Prefer [`crate::plan_cache::rfft_plan`] on hot paths: it memoises plans
     /// per thread.
     pub fn new(len: usize) -> Self {
-        if len <= 1 {
-            return RealFft {
-                len,
-                inner: Fft::new(len),
-                twiddles: Vec::new(),
-            };
-        }
-        if len % 2 == 0 {
-            let half = len / 2;
-            let twiddles = (0..half)
+        // Even lengths pack sample pairs into a half-length complex transform;
+        // odd lengths (and 0 and 1) run the complex plan of the full length.
+        let packed = len > 1 && len % 2 == 0;
+        let twiddles = if packed {
+            (0..len / 2)
                 .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
-                .collect();
-            RealFft {
-                len,
-                inner: Fft::new(half),
-                twiddles,
-            }
+                .collect()
         } else {
-            RealFft {
-                len,
-                inner: Fft::new(len),
-                twiddles: Vec::new(),
-            }
+            Vec::new()
+        };
+        RealFft {
+            len,
+            inner: plan_cache::fft_plan(if packed { len / 2 } else { len }),
+            twiddles,
         }
     }
 
@@ -546,5 +542,17 @@ mod tests {
         let plan = RealFft::new(8);
         let mut out = Vec::new();
         plan.inverse(&[Complex::ZERO; 3], &mut out);
+    }
+
+    #[test]
+    fn real_plans_take_their_complex_plan_from_the_cache() {
+        // Even: the half-length plan. Odd: the full-length plan.
+        for (len, inner) in [(202usize, 101usize), (203, 203)] {
+            let plan = plan_cache::rfft_plan(len);
+            assert!(
+                Arc::ptr_eq(&plan.inner, &plan_cache::fft_plan(inner)),
+                "{len}"
+            );
+        }
     }
 }

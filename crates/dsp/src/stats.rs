@@ -90,15 +90,6 @@ impl Moments {
         }
     }
 
-    /// Sample variance (divides by `N - 1`); `0.0` for fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.variance().sqrt()
@@ -109,12 +100,6 @@ impl Moments {
 /// samples. Single pass ([`Moments`]).
 pub fn variance(data: &[f64]) -> f64 {
     Moments::of(data).variance()
-}
-
-/// Sample variance (divides by `N - 1`). Returns `0.0` for fewer than two
-/// samples. Single pass ([`Moments`]).
-pub fn sample_variance(data: &[f64]) -> f64 {
-    Moments::of(data).sample_variance()
 }
 
 /// Population standard deviation.
@@ -293,7 +278,6 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((variance(&data) - 4.0).abs() < 1e-12);
         assert!((std_dev(&data) - 2.0).abs() < 1e-12);
-        assert!((sample_variance(&data) - 4.571428571428571).abs() < 1e-12);
         assert_eq!(variance(&[5.0]), 0.0);
     }
 
